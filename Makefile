@@ -36,18 +36,14 @@
 #                     rotation, one node killed -9 mid-run; requires ≥99%
 #                     of logical requests to succeed and cluster-wide
 #                     computes within 1.2x the distinct-artifact baseline
-#   make engine-smoke  the execution-engine gate: a warm threaded rebuild is
-#                     100% stage-cache hits (lower stage included) and both
-#                     engines agree exactly on Instrs/Cycles/output for all
-#                     four Zorn workloads
 
 GO ?= go
 FUZZPKG := ./internal/fuzz
 FUZZTARGETS := FuzzDifferential FuzzParserRoundtrip FuzzFaultInjection FuzzTemporalDifferential
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke engine-smoke
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke
 
-check: fmt-check vet build race test bench-smoke fuzz-smoke pipeline-smoke elision-smoke engine-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
+check: fmt-check vet build race test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
 
 fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -153,13 +149,6 @@ elision-smoke:
 # requires identical live-object counts and live bytes.
 heapdump-smoke:
 	$(GO) test -race -count=1 -run 'TestHeapdumpSmoke' ./cmd/gcsafed
-
-# The execution-engine gate: TestEngineSmoke warm-rebuilds every Zorn
-# workload for the threaded engine (must be 100% stage-cache hits, the
-# closure-lowering stage included) and runs it on both engines (simulated
-# instruction/cycle counts and output must be identical).
-engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineSmoke' .
 
 # The distributed gate: TestClusterSmoke builds gcsafed and loadgen, peers
 # three real daemons, drives a mixed workload with chaos fault rotation,

@@ -1,10 +1,13 @@
 package gcsafety
 
 // One testing.B benchmark per table (and figure-equivalent) in the paper's
-// evaluation, plus the ablation benches DESIGN.md calls out. Each benchmark
-// regenerates its table from scratch — workload build + deterministic
-// simulated execution — and reports the table's cells as custom metrics so
-// `go test -bench` output carries the reproduced numbers. EXPERIMENTS.md
+// evaluation, plus the ablation benches DESIGN.md calls out. Each table
+// benchmark regenerates its table from scratch — every iteration empties
+// the bench cell and build caches first, then pays the workload build +
+// deterministic simulated execution — and reports the table's cells as
+// custom metrics so `go test -bench` output carries the reproduced
+// numbers: percentages under `%<column>/<workload>`, the retained@exit
+// byte counts under `B/retained@exit/<workload>`. EXPERIMENTS.md
 // records the paper-vs-measured comparison.
 
 import (
@@ -21,10 +24,13 @@ func reportTable(b *testing.B, t *bench.Table) {
 	b.Helper()
 	for _, r := range t.Rows {
 		for i, c := range r.Cells {
-			if c.Fails || c.Unavail {
-				continue
+			switch {
+			case c.Fails || c.Unavail:
+			case c.IsBytes:
+				b.ReportMetric(float64(c.Bytes), fmt.Sprintf("B/%s/%s", sanitize(t.Columns[i]), r.Workload))
+			default:
+				b.ReportMetric(c.Pct, fmt.Sprintf("%%%s/%s", sanitize(t.Columns[i]), r.Workload))
 			}
-			b.ReportMetric(c.Pct, fmt.Sprintf("%%%s/%s", sanitize(t.Columns[i]), r.Workload))
 		}
 	}
 }
@@ -45,6 +51,7 @@ func sanitize(s string) string {
 // slowdowns on the SPARCstation 2.
 func BenchmarkTableSS2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.SlowdownTable(machine.SPARCstation2())
 		if err != nil {
 			b.Fatal(err)
@@ -59,6 +66,7 @@ func BenchmarkTableSS2(b *testing.B) {
 // BenchmarkTableSS10 regenerates the SPARCstation 10 running-time table.
 func BenchmarkTableSS10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.SlowdownTable(machine.SPARCstation10())
 		if err != nil {
 			b.Fatal(err)
@@ -73,6 +81,7 @@ func BenchmarkTableSS10(b *testing.B) {
 // BenchmarkTableP90 regenerates the Pentium 90 running-time table.
 func BenchmarkTableP90(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.SlowdownTable(machine.Pentium90())
 		if err != nil {
 			b.Fatal(err)
@@ -87,6 +96,7 @@ func BenchmarkTableP90(b *testing.B) {
 // BenchmarkTableCodeSize regenerates the object-code expansion table.
 func BenchmarkTableCodeSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.CodeSizeTable(machine.SPARCstation10())
 		if err != nil {
 			b.Fatal(err)
@@ -102,6 +112,7 @@ func BenchmarkTableCodeSize(b *testing.B) {
 // overheads after the peephole postprocessor.
 func BenchmarkTablePostprocessor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.PostprocessorTable(machine.SPARCstation10())
 		if err != nil {
 			b.Fatal(err)
@@ -119,6 +130,7 @@ func BenchmarkTablePostprocessor(b *testing.B) {
 // carry no metric; the surviving cells report their slowdowns.
 func BenchmarkTableHazards(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.HazardTable(machine.SPARCstation10())
 		if err != nil {
 			b.Fatal(err)
@@ -136,6 +148,7 @@ func BenchmarkTableHazards(b *testing.B) {
 // elision never drops a check that can fire.
 func BenchmarkTableElision(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.ElisionTable(machine.SPARCstation10())
 		if err != nil {
 			b.Fatal(err)
@@ -151,6 +164,7 @@ func BenchmarkTableElision(b *testing.B) {
 // (the paper's "terribly inefficient" opaque call vs. the empty asm).
 func BenchmarkAblationCallVsAsm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.AblationCallVsAsm(machine.SPARCstation10())
 		if err != nil {
 			b.Fatal(err)
@@ -165,6 +179,7 @@ func BenchmarkAblationCallVsAsm(b *testing.B) {
 // BenchmarkAblationCopySuppression toggles the paper's optimization (1).
 func BenchmarkAblationCopySuppression(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.AblationCopySuppression(machine.SPARCstation10())
 		if err != nil {
 			b.Fatal(err)
@@ -179,6 +194,7 @@ func BenchmarkAblationCopySuppression(b *testing.B) {
 // BenchmarkAblationIncDecExpansion toggles the paper's optimization (2).
 func BenchmarkAblationIncDecExpansion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.AblationIncDecExpansion(machine.SPARCstation10())
 		if err != nil {
 			b.Fatal(err)
@@ -193,6 +209,7 @@ func BenchmarkAblationIncDecExpansion(b *testing.B) {
 // BenchmarkAblationBaseHeuristic toggles the paper's optimization (3).
 func BenchmarkAblationBaseHeuristic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		bench.ResetCache()
 		t, err := bench.AblationBaseHeuristic(machine.SPARCstation10())
 		if err != nil {
 			b.Fatal(err)
@@ -243,7 +260,7 @@ func BenchmarkAblationTriggerPolicy(b *testing.B) {
 
 // BenchmarkInterpThroughput measures raw interpreter speed — simulated
 // megacycles per host second — on the two heaviest workloads. This is the
-// number the dispatch fast path in internal/interp/internal/dispatch is
+// number the dispatch fast path in internal/engine/dispatch.go is
 // tuned against; EXPERIMENTS.md records its history.
 func BenchmarkInterpThroughput(b *testing.B) {
 	cfg := machine.SPARCstation10()
@@ -270,43 +287,6 @@ func BenchmarkInterpThroughput(b *testing.B) {
 				b.ReportMetric(float64(cycles)*float64(b.N)/sec/1e6, "Mcycles/sec")
 			}
 		})
-	}
-}
-
-// BenchmarkEngineThroughput measures both execution engines — the
-// switch-dispatch interpreter and the closure-threaded backend — on the
-// two heaviest workloads, in simulated megacycles per host second. The
-// engines produce bit-identical simulated results (see the equivalence
-// tests and the fuzz matrix's engine twins); this benchmark is the
-// wall-clock half of the story, and BENCH_PR10.json records the
-// threaded/interp speedup it demonstrates.
-func BenchmarkEngineThroughput(b *testing.B) {
-	cfg := machine.SPARCstation10()
-	for _, name := range []string{"gawk", "gs"} {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			b.Fatalf("no workload %q", name)
-		}
-		prog, _, err := Build(w.Name+".c", w.Source, Pipeline{Optimize: true, Machine: &cfg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, eng := range []string{"interp", "threaded"} {
-			b.Run(name+"/"+eng, func(b *testing.B) {
-				var cycles uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := interp.Run(prog, interp.Options{Config: cfg, Input: w.Input, Engine: eng})
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = res.Cycles
-				}
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(float64(cycles)*float64(b.N)/sec/1e6, "Mcycles/sec")
-				}
-			})
-		}
 	}
 }
 

@@ -23,9 +23,6 @@
 //	-collect-at-switch force a collection at every context switch
 //	-post              run the peephole postprocessor
 //	-machine name      ss2 | ss10 | p90 (default ss10)
-//	-engine name       execution backend: interp (default) or threaded
-//	                   (closure-threaded; bit-identical simulated results,
-//	                   see DESIGN.md "Two execution engines")
 //	-in file           program input (getchar stream)
 //	-gc-every n        trigger a collection every n instructions (async regime)
 //	-validate          detect accesses to reclaimed objects
@@ -59,7 +56,6 @@ import (
 	"os"
 
 	"gcsafety"
-	"gcsafety/internal/engine"
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/heapdump"
 	"gcsafety/internal/interp"
@@ -78,7 +74,6 @@ func main() {
 		collectSw = flag.Bool("collect-at-switch", false, "collect at every context switch")
 		post      = flag.Bool("post", false, "run the peephole postprocessor")
 		machname  = flag.String("machine", "ss10", "machine model: ss2, ss10 or p90")
-		engName   = flag.String("engine", "", "execution backend: interp (default) or threaded")
 		inFile    = flag.String("in", "", "program input file")
 		gcEvery   = flag.Uint64("gc-every", 0, "collect every n instructions")
 		validate  = flag.Bool("validate", false, "detect accesses to reclaimed objects")
@@ -122,10 +117,6 @@ func main() {
 		}
 		input = string(b)
 	}
-	if _, err := engine.Lookup(*engName); err != nil {
-		fmt.Fprintf(os.Stderr, "ccrun: -engine: %v\n", err)
-		os.Exit(2)
-	}
 	var faultSet *faultinject.Set
 	if *faults != "" {
 		faultSet, err = faultinject.Parse(*faults, *faultSeed)
@@ -140,7 +131,6 @@ func main() {
 		Postprocess: *post,
 		Machine:     &cfg,
 		Exec: interp.Options{
-			Engine:          *engName,
 			Input:           input,
 			GCEveryInstrs:   *gcEvery,
 			Validate:        *validate,

@@ -60,10 +60,6 @@
 //	POST /v1/check     source-checking diagnostics only
 //	POST /v1/compile   one treatment cell, content-addressed-cached
 //	POST /v1/run       compile (cached) + execute under deadline and budget
-//	                   (an "engine" field selects the execution backend;
-//	                   unknown names are rejected with 400 and the valid
-//	                   list, the empty string runs the startup-logged
-//	                   default)
 //	POST /v1/matrix    one generated program through the treatment matrix
 //	POST /v1/peer/get  peer protocol: get-or-compute an owned artifact
 //	POST /v1/peer/put  peer protocol: accept an artifact for an owned key
@@ -89,7 +85,6 @@ import (
 	"time"
 
 	"gcsafety/internal/cluster"
-	"gcsafety/internal/engine"
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/server"
 )
@@ -262,11 +257,6 @@ func logEffectiveConfig(s *server.Server, pprofAddr, faults string, faultSeed ui
 	}
 	fmt.Printf("gcsafed: config: faults=%s fault-seed=%d allow-fault-headers=%v\n",
 		faults, faultSeed, cfg.AllowFaultHeaders)
-	// The engine line is the resolved default: what a /v1/run request with
-	// no "engine" field actually executes on, plus the full registered set
-	// a request may name.
-	fmt.Printf("gcsafed: config: engine default=%s registered=%s\n",
-		engine.DefaultName, strings.Join(engine.Names(), ","))
 	if pprofAddr != "" {
 		fmt.Printf("gcsafed: config: pprof=%s\n", pprofAddr)
 	}

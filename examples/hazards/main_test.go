@@ -36,11 +36,13 @@ func TestGoldenFilesMatchWorkloadCatalogue(t *testing.T) {
 }
 
 // TestHazardEngineEquivalence drives every golden hazard through the
-// public API on both execution engines, under a benign and an adversarial
-// collection schedule, in the safe and the temporal-checker builds. The
-// engines must agree exactly: same detection outcome (error for error,
-// message for message, fault address for fault address) and the same
-// simulated output, instruction and cycle counts on clean runs.
+// public API twice, under a benign and an adversarial collection schedule,
+// in the safe and the temporal-checker builds. The second run is served
+// entirely from the artifact cache and executes the very program the first
+// run produced; the execution core must agree with itself exactly: same
+// detection outcome (error for error, message for message, fault address
+// for fault address) and the same simulated output, instruction and cycle
+// counts on clean runs.
 func TestHazardEngineEquivalence(t *testing.T) {
 	for _, w := range workloads.Hazards() {
 		src, err := os.ReadFile(filepath.Join("testdata", w.Name+".c"))
@@ -55,45 +57,44 @@ func TestHazardEngineEquivalence(t *testing.T) {
 			adversarial.CollectAtSwitch = true
 		}
 		temporal := func(e interp.Options) interp.Options { e.Temporal = true; return e }
+		pipe := func(opts gcsafety.AnnotateOptions, exec interp.Options) gcsafety.Pipeline {
+			return gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: opts, Exec: exec}
+		}
 		for _, c := range []struct {
 			build, sched string
 			pipe         gcsafety.Pipeline
 		}{
-			{"safe", "benign", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Safe(), Exec: benign}},
-			{"safe", "adversarial", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Safe(), Exec: adversarial}},
-			{"temporal", "benign", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Temporal(), Exec: temporal(benign)}},
-			{"temporal", "adversarial", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Temporal(), Exec: temporal(adversarial)}},
+			{"safe", "benign", pipe(gcsafety.Safe(), benign)},
+			{"safe", "adversarial", pipe(gcsafety.Safe(), adversarial)},
+			{"temporal", "benign", pipe(gcsafety.Temporal(), temporal(benign))},
+			{"temporal", "adversarial", pipe(gcsafety.Temporal(), temporal(adversarial))},
 		} {
-			c := c
 			t.Run(w.Name+"/"+c.build+"/"+c.sched, func(t *testing.T) {
-				p := c.pipe
-				p.Exec.Engine = "interp"
-				want, wantErr := gcsafety.Run(w.Name+".c", string(src), p)
-				p.Exec.Engine = "threaded"
-				got, gotErr := gcsafety.Run(w.Name+".c", string(src), p)
+				want, wantErr := gcsafety.Run(w.Name+".c", string(src), c.pipe)
+				got, gotErr := gcsafety.Run(w.Name+".c", string(src), c.pipe)
 				if (wantErr == nil) != (gotErr == nil) ||
 					(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-					t.Fatalf("engines disagree on classification:\n  interp:   %v\n  threaded: %v", wantErr, gotErr)
+					t.Fatalf("runs disagree on classification:\n  first:  %v\n  second: %v", wantErr, gotErr)
 				}
-				if (want.Exec == nil) != (got.Exec == nil) {
-					t.Fatalf("result presence diverges: interp %v, threaded %v", want.Exec != nil, got.Exec != nil)
+				if got.Report == nil || !got.Report.AllHits() {
+					t.Errorf("second build was not served entirely from the artifact cache")
 				}
-				if want.Exec == nil {
-					return
+				if want.Program != got.Program {
+					t.Errorf("second run did not execute the cached program")
 				}
 				if want.Exec.Output != got.Exec.Output ||
 					want.Exec.Instrs != got.Exec.Instrs ||
 					want.Exec.Cycles != got.Exec.Cycles {
-					t.Errorf("simulated results diverge:\n  interp:   %q instrs=%d cycles=%d\n  threaded: %q instrs=%d cycles=%d",
+					t.Errorf("simulated results diverge:\n  first:  %q instrs=%d cycles=%d\n  second: %q instrs=%d cycles=%d",
 						want.Exec.Output, want.Exec.Instrs, want.Exec.Cycles,
 						got.Exec.Output, got.Exec.Instrs, got.Exec.Cycles)
 				}
 				ws, gs := want.Exec.Snapshot, got.Exec.Snapshot
 				if (ws == nil) != (gs == nil) {
-					t.Fatalf("snapshot presence diverges: interp %v, threaded %v", ws != nil, gs != nil)
+					t.Fatalf("snapshot presence diverges: first %v, second %v", ws != nil, gs != nil)
 				}
 				if ws != nil && (ws.Trigger != gs.Trigger || ws.FaultAddr != gs.FaultAddr) {
-					t.Errorf("violation classification diverges:\n  interp:   trigger=%q addr=%#x\n  threaded: trigger=%q addr=%#x",
+					t.Errorf("violation classification diverges:\n  first:  trigger=%q addr=%#x\n  second: trigger=%q addr=%#x",
 						ws.Trigger, ws.FaultAddr, gs.Trigger, gs.FaultAddr)
 				}
 			})

@@ -43,11 +43,6 @@ type Treatment struct {
 	// checks) that the pipeline's Liveness stage proves redundant are
 	// dropped before codegen.
 	Elide bool
-	// Engine names the execution backend the cell runs on ("" = the
-	// default interpreter). Simulated results are engine-invariant by
-	// contract, but the field still folds into the cell key when set: a
-	// cell measured on another engine is a distinct experiment.
-	Engine string
 	// Gcsafe overrides the default annotator options (ablations).
 	Gcsafe *gcsafe.Options
 }
@@ -170,10 +165,6 @@ func cellKey(w workloads.Workload, tr Treatment, cfg machine.Config) artifact.Ke
 	if tr.Elide {
 		k = k.Bool(true)
 	}
-	// A non-default engine likewise folds in only when named.
-	if tr.Engine != "" {
-		k = k.Str(tr.Engine)
-	}
 	return k.Sum()
 }
 
@@ -218,7 +209,6 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 		Optimize:        tr.Optimize,
 		Post:            tr.Post,
 		Machine:         cfg,
-		Engine:          tr.Engine,
 	})
 	if err != nil {
 		var se *pipeline.StageError
@@ -237,7 +227,6 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 	prog := b.Prog
 	m := &Measurement{Size: prog.Size()}
 	res, err := interp.Run(prog, interp.Options{
-		Engine:    tr.Engine,
 		Config:    cfg,
 		Input:     w.Input,
 		Temporal:  tr.Temporal,
@@ -340,15 +329,16 @@ type Cell struct {
 	Fails     bool    // "<fails>" (gawk checked)
 	Unavail   bool    // "-" (cfrac -g)
 	FailsNote string
-	// Text renders literally when non-empty: the retained-size and
-	// engine-throughput columns are absolute values, not percentages.
-	Text string
+	// IsBytes marks an absolute byte-count cell (the retained@exit
+	// column): it renders Bytes as "1,234B" instead of a percentage.
+	IsBytes bool
+	Bytes   uint64
 }
 
 func (c Cell) String() string {
 	switch {
-	case c.Text != "":
-		return c.Text
+	case c.IsBytes:
+		return heapdump.Comma(c.Bytes) + "B"
 	case c.Fails:
 		return "<fails>"
 	case c.Unavail:
@@ -358,10 +348,10 @@ func (c Cell) String() string {
 	}
 }
 
-// retainedCell renders a workload's exit heap shape (MeasureRetained) for
+// retainedCell holds a workload's exit heap shape (MeasureRetained) for
 // the tables' retained column.
 func retainedCell(retained uint64) Cell {
-	return Cell{Text: heapdump.Comma(retained) + "B"}
+	return Cell{IsBytes: true, Bytes: retained}
 }
 
 // Row is one workload's row in a table.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"gcsafety/internal/heapdump"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/workloads"
 )
@@ -246,59 +247,39 @@ func TestHazardTableShape(t *testing.T) {
 	}
 }
 
-// TestRetainedColumn pins the retained-size column: every table row ends
-// with the optimized baseline's exit heap shape, the cell agrees with the
-// underlying MeasureRetained value, and the workloads that hold data at
-// exit report a non-zero value.
+// TestRetainedColumn pins the retained-size column of the slowdown and
+// hazard tables: every row ends with the optimized baseline's exit heap
+// shape, the cell holds exactly the underlying MeasureRetained byte count,
+// and it renders as the comma-grouped byte count the tables have always
+// printed. Every workload retains data at exit except cfrac and escape,
+// which drop their last heap reference before exiting; their cells must
+// still read "0B", not a percentage.
 func TestRetainedColumn(t *testing.T) {
+	emptyAtExit := map[string]bool{"cfrac": true, "escape": true}
 	cfg := machine.SPARCstation10()
-	tbl, err := SlowdownTable(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.Columns[len(tbl.Columns)-1]; got != "retained@exit" {
-		t.Fatalf("last column = %q, want retained@exit", got)
-	}
-	var nonzero int
-	for _, r := range tbl.Rows {
-		w, _ := workloads.ByName(r.Workload)
-		retained, err := MeasureRetained(w)
+	for _, table := range []func(machine.Config) (*Table, error){SlowdownTable, HazardTable} {
+		tbl, err := table(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cell := r.Cells[len(r.Cells)-1]
-		if want := retainedCell(retained).Text; cell.Text != want {
-			t.Errorf("%s: retained cell %q, want %q", r.Workload, cell.Text, want)
+		if got := tbl.Columns[len(tbl.Columns)-1]; got != "retained@exit" {
+			t.Fatalf("%s last column = %q, want retained@exit", tbl.Title, got)
 		}
-		if retained > 0 {
-			nonzero++
-		}
-	}
-	if nonzero == 0 {
-		t.Error("no workload retains anything at exit; the column is measuring nothing")
-	}
-}
-
-// TestEngineTable pins the engine-throughput table's shape: a rate pair
-// plus ratio per workload, every rate positive. The equivalence contract
-// (identical simulated Instrs/Cycles/output) is enforced inside
-// EngineTable itself — a divergence surfaces here as an error.
-func TestEngineTable(t *testing.T) {
-	tbl, err := EngineTable(machine.SPARCstation10())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", tbl)
-	if len(tbl.Rows) != len(workloads.All()) {
-		t.Fatalf("want %d rows, got %d", len(workloads.All()), len(tbl.Rows))
-	}
-	for _, r := range tbl.Rows {
-		if len(r.Cells) != 3 {
-			t.Fatalf("%s: want 3 cells, got %d", r.Workload, len(r.Cells))
-		}
-		for _, c := range r.Cells {
-			if c.Text == "" || strings.HasPrefix(c.Text, "-") {
-				t.Errorf("%s: bad throughput cell %q", r.Workload, c.Text)
+		for _, r := range tbl.Rows {
+			w, _ := workloads.ByName(r.Workload)
+			retained, err := MeasureRetained(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := r.Cells[len(r.Cells)-1]
+			if !cell.IsBytes || cell.Bytes != retained {
+				t.Errorf("%s: retained cell %+v, want %d bytes (MeasureRetained)", r.Workload, cell, retained)
+			}
+			if (retained == 0) != emptyAtExit[r.Workload] {
+				t.Errorf("%s: retains %d bytes at exit, want empty=%v", r.Workload, retained, emptyAtExit[r.Workload])
+			}
+			if got, want := cell.String(), heapdump.Comma(retained)+"B"; got != want {
+				t.Errorf("%s: retained cell renders %q, want %q", r.Workload, got, want)
 			}
 		}
 	}
@@ -327,12 +308,6 @@ func TestCellKeyStableForClassicTreatments(t *testing.T) {
 	}
 	if cellKey(w, OptSafeConcurrent, cfg) == cellKey(w, OptSafe, cfg) {
 		t.Error("concurrent treatment collides with the single-thread treatment")
-	}
-	// The engine axis follows the same fold-when-set rule.
-	onThreaded := OptSafe
-	onThreaded.Engine = "threaded"
-	if cellKey(w, onThreaded, cfg) == cellKey(w, OptSafe, cfg) {
-		t.Error("engine-set treatment collides with the default-engine treatment")
 	}
 }
 

@@ -1,3 +1,11 @@
+// Package engine is the execution core: it runs compiled programs against
+// the conservative collector. It holds the machine state (registers, stack
+// pointer, simulated memory), the native runtime library, the temporal
+// shadow tags, the concurrent-mutator scheduler, the safe-point/snapshot
+// handshake, allocation-site profiling and the one switch-dispatch loop
+// (dispatch.go). Every simulated number a run produces — Instrs, Cycles,
+// output, GC statistics and every checker outcome — is the reproduction's
+// data and is bit-stable across refactors.
 package engine
 
 import (
@@ -11,67 +19,60 @@ import (
 	"gcsafety/internal/machine"
 )
 
-// Core is the engine-neutral machine state: the simulated register file,
-// stack and static segment, the collected heap, cycle/instruction
-// accounting, the temporal shadow tags, the concurrent-mutator scheduler
-// and the snapshot handshake. An execution backend supplies only the
-// single-thread dispatch loop (via RunWith); everything an instruction
-// can touch lives here, which is what makes two engines bit-identical by
-// construction everywhere except the dispatch strategy itself.
-//
-// Exported fields are the hot-path state dispatch loops read and write
-// directly; everything reachable only through runtime calls or the
-// cold-path Step stays unexported.
+// Core is the state of one run: the simulated register file, stack and
+// static segment, the collected heap, cycle/instruction accounting, the
+// temporal shadow tags, the concurrent-mutator scheduler and the snapshot
+// handshake.
 type Core struct {
 	prog *machine.Program
-	// Opts is the run configuration (read-only after NewCore).
-	Opts Options
-	// Ctx is the run's context, polled at the PollInterval stride.
-	Ctx context.Context
+	// opts is the run configuration (read-only after NewCore).
+	opts Options
+	// ctx is the run's context, polled at the pollInterval stride.
+	ctx context.Context
 	cfg machine.Config
-	// heap is the conservative collector; Heap() exposes it.
+	// heap is the conservative collector.
 	heap *gc.Heap
-	// Regs is the current thread's register file (re-aimed on context
+	// regs is the current thread's register file (re-aimed on context
 	// switch in concurrent mode; slices are aliased, never copied, so the
 	// collector always sees every thread's live registers).
-	Regs []uint32
-	// SP is the current stack pointer.
-	SP     uint32
+	regs []uint32
+	// sp is the current stack pointer.
+	sp     uint32
 	static []byte
 	stack  []byte
 	labels map[string]map[int32]int
 	byID   map[int32]*machine.Func
-	meta   map[*machine.Func]*FuncMeta
-	// Costs caches Config.CostOf per opcode: one slice index in the hot
+	meta   map[*machine.Func]*funcMeta
+	// costs caches Config.CostOf per opcode: one slice index in the hot
 	// loop instead of a switch.
-	Costs [machine.NumOps]uint64
+	costs [machine.NumOps]uint64
 	out   strings.Builder
 	in    int
-	// Cycles and Instrs are the simulated accounting — the reproduction's
-	// data. Engines must charge them in the same order the interpreter
-	// does (cycles before the temporal track, both before the opcode).
-	Cycles uint64
-	Instrs uint64
+	// cycles and instrs are the simulated accounting — the reproduction's
+	// data. Both loops (dispatch.go, threads.go) charge them in the same
+	// order: cycles before the temporal track, both before the opcode.
+	cycles uint64
+	instrs uint64
 	rng    uint32
-	// Exited flips when the program calls exit(); dispatch loops stop at
-	// the next boundary.
-	Exited bool
+	// exited flips when the program calls exit(); the loops stop at the
+	// next boundary.
+	exited bool
 	exit   int32
-	// PendingRet carries the value of the most recent Ret to the caller's
+	// pendingRet carries the value of the most recent Ret to the caller's
 	// result register.
-	PendingRet uint32
-	// SinceGC counts instructions since the last async collection.
-	SinceGC uint64
-	// argbuf backs RuntimeCall's argument slice so runtime dispatch —
+	pendingRet uint32
+	// sinceGC counts instructions since the last async collection.
+	sinceGC uint64
+	// argbuf backs runtimeCall's argument slice so runtime dispatch —
 	// including every checked-mode GC_same_obj/GC_pre_incr call — stays
 	// allocation-free on the host.
 	argbuf [8]uint32
-	// TT is the temporal-mode shadow-tag state; nil unless Options.Temporal
+	// tt is the temporal-mode shadow-tag state; nil unless Options.Temporal
 	// (the hot loop pays one nil check).
-	TT *TemporalState
-	// StackLo/StackHi bound the current thread's stack segment for AdjSP;
+	tt *temporalState
+	// stackLo/stackHi bound the current thread's stack segment for AdjSP;
 	// they are the whole stack in single-thread mode.
-	StackLo, StackHi uint32
+	stackLo, stackHi uint32
 	// Concurrent-mutator state (nil/zero in single-thread mode).
 	threads  []*mthread
 	cur      int
@@ -87,7 +88,7 @@ type Core struct {
 	snapDone    atomic.Bool
 }
 
-// NewCore prepares the engine-neutral state for one run of prog.
+// NewCore prepares the state for one run of prog.
 func NewCore(prog *machine.Program, opts Options) *Core {
 	if opts.HeapBytes == 0 {
 		opts.HeapBytes = 16 << 20
@@ -106,22 +107,22 @@ func NewCore(prog *machine.Program, opts Options) *Core {
 	}
 	c := &Core{
 		prog:   prog,
-		Opts:   opts,
-		Ctx:    context.Background(),
+		opts:   opts,
+		ctx:    context.Background(),
 		cfg:    opts.Config,
-		Regs:   make([]uint32, opts.Config.NumRegs),
-		SP:     machine.StackTop,
+		regs:   make([]uint32, opts.Config.NumRegs),
+		sp:     machine.StackTop,
 		static: append([]byte(nil), prog.Data...),
 		stack:  make([]byte, machine.StackTop-machine.StackLimit),
 		labels: map[string]map[int32]int{},
 		byID:   map[int32]*machine.Func{},
 		rng:    0x9E3779B9,
 
-		StackLo: machine.StackLimit,
-		StackHi: machine.StackTop,
+		stackLo: machine.StackLimit,
+		stackHi: machine.StackTop,
 	}
 	if opts.Temporal {
-		c.TT = newTemporalState(int(opts.Config.NumRegs))
+		c.tt = newTemporalState(int(opts.Config.NumRegs))
 	}
 	if opts.HeapProfile {
 		c.prof = newAllocProf()
@@ -137,7 +138,7 @@ func NewCore(prog *machine.Program, opts Options) *Core {
 	}
 	c.heap = gc.NewHeap(hcfg)
 	c.heap.SetRoots(gc.RootFunc(c.scanRoots))
-	c.meta = make(map[*machine.Func]*FuncMeta, len(prog.Funcs))
+	c.meta = make(map[*machine.Func]*funcMeta, len(prog.Funcs))
 	for name, f := range prog.Funcs {
 		lm := map[int32]int{}
 		for pc, in := range f.Code {
@@ -152,10 +153,10 @@ func NewCore(prog *machine.Program, opts Options) *Core {
 	// every label and function is known. An unknown label resolves to pc 0,
 	// matching the zero value the label-map lookup used to produce.
 	for _, f := range prog.Funcs {
-		c.meta[f] = &FuncMeta{
+		c.meta[f] = &funcMeta{
 			Targets:    make([]int, len(f.Code)),
 			Callees:    make([]*machine.Func, len(f.Code)),
-			CalleeMeta: make([]*FuncMeta, len(f.Code)),
+			CalleeMeta: make([]*funcMeta, len(f.Code)),
 		}
 	}
 	for _, f := range prog.Funcs {
@@ -174,42 +175,44 @@ func NewCore(prog *machine.Program, opts Options) *Core {
 		}
 	}
 	for op := 0; op < machine.NumOps; op++ {
-		c.Costs[op] = c.cfg.CostOf(machine.Op(op))
+		c.costs[op] = c.cfg.CostOf(machine.Op(op))
 	}
 	return c
 }
 
-// Program returns the program the core was built for.
-func (c *Core) Program() *machine.Program { return c.prog }
+// Run executes the entry function to completion.
+func (c *Core) Run() (*Result, error) {
+	return c.RunContext(context.Background())
+}
 
-// RunWith executes the entry function to completion or until ctx is done,
-// whichever comes first, driving single-thread execution through exec —
-// the one function an engine supplies. Concurrent runs (Threads > 1) are
-// scheduled here, through the shared quantum scheduler, so every engine's
-// concurrent interleavings are identical by construction. The error
-// strings keep their historical "interp:" prefix: they are part of the
-// observable surface tests and goldens assert on.
-func (c *Core) RunWith(ctx context.Context, exec func(entry *machine.Func, retReg machine.Reg) error) (*Result, error) {
+// RunContext executes the entry function to completion or until ctx is
+// done, whichever comes first: cancellation or deadline expiry aborts the
+// run between two instructions with an error wrapping ctx.Err().
+// Single-thread runs go through the dispatch loop (dispatch.go);
+// concurrent runs (Threads > 1) through the quantum scheduler
+// (threads.go). The error strings keep their historical "interp:" prefix:
+// they are part of the observable surface tests and goldens assert on.
+func (c *Core) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.Ctx = ctx
+	c.ctx = ctx
 	defer c.finishSnapshots()
-	entry, ok := c.prog.Funcs[c.Opts.Entry]
+	entry, ok := c.prog.Funcs[c.opts.Entry]
 	if !ok {
-		return nil, fmt.Errorf("interp: no function %q", c.Opts.Entry)
+		return nil, fmt.Errorf("interp: no function %q", c.opts.Entry)
 	}
 	if err := ctx.Err(); err != nil {
 		return c.result(), fmt.Errorf("interp: %w", err)
 	}
 	var runErr error
-	if c.Opts.Threads > 1 {
+	if c.opts.Threads > 1 {
 		runErr = c.runThreads(entry)
 	} else {
-		runErr = exec(entry, machine.NoReg)
+		runErr = c.call(entry, machine.NoReg)
 	}
 	res := c.result()
-	if c.Opts.HeapProfile {
+	if c.opts.HeapProfile {
 		trigger, addr := snapshotTrigger(runErr)
 		reason := ""
 		if runErr != nil {
@@ -224,23 +227,23 @@ func (c *Core) RunWith(ctx context.Context, exec func(entry *machine.Func, retRe
 	return res, runErr
 }
 
-// Poll is the safe-point body shared by every dispatch loop: context
-// cancellation, the interp.step fault point, and the cross-goroutine
-// snapshot handshake, in that order. Engines call it when the poll
-// countdown reaches zero (every PollInterval instructions).
-func (c *Core) Poll() error {
-	if err := c.Ctx.Err(); err != nil {
+// poll is the safe-point body of the dispatch loop: context cancellation,
+// the interp.step fault point, and the cross-goroutine snapshot handshake,
+// in that order. The loop calls it when its poll countdown reaches zero
+// (every pollInterval instructions).
+func (c *Core) poll() error {
+	if err := c.ctx.Err(); err != nil {
 		return err
 	}
 	// Fault injection shares the poll stride so an inert run pays nothing
 	// beyond the existing branch.
-	if f := c.Opts.Faults; f != nil {
+	if f := c.opts.Faults; f != nil {
 		if err := f.Fire(faultinject.PointInterpStep); err != nil {
 			return err
 		}
 	}
 	// Cross-goroutine snapshot requests are served here: the poll stride
-	// is the engine's safe point (mutator stopped).
+	// is the run's safe point (mutator stopped).
 	if c.snapPending.Load() != nil {
 		c.serveSnapshot()
 	}
@@ -251,8 +254,8 @@ func (c *Core) result() *Result {
 	return &Result{
 		Output:   c.out.String(),
 		ExitCode: c.exit,
-		Cycles:   c.Cycles,
-		Instrs:   c.Instrs,
+		Cycles:   c.cycles,
+		Instrs:   c.instrs,
 		GCStats:  c.heap.Stats(),
 	}
 }
@@ -269,7 +272,7 @@ func (c *Core) scanRoots(visit func(gc.Addr)) {
 			}
 			sp := t.sp
 			if i == c.cur {
-				sp = c.SP // regs alias t.regs; only sp is cached in c
+				sp = c.sp // regs alias t.regs; only sp is cached in c
 			}
 			for _, r := range t.regs {
 				visit(r)
@@ -282,26 +285,18 @@ func (c *Core) scanRoots(visit func(gc.Addr)) {
 			}
 		}
 	} else {
-		for _, r := range c.Regs {
+		for _, r := range c.regs {
 			visit(r)
 		}
-		for a := c.SP &^ 3; a < machine.StackTop; a += 4 {
+		for a := c.sp &^ 3; a < machine.StackTop; a += 4 {
 			w, err := c.read32raw(a)
 			if err == nil {
 				visit(w)
 			}
 		}
 	}
-	base := machine.DataBase
 	for off := 0; off+4 <= len(c.static); off += 4 {
 		visit(uint32(c.static[off]) | uint32(c.static[off+1])<<8 |
 			uint32(c.static[off+2])<<16 | uint32(c.static[off+3])<<24)
 	}
-	_ = base
 }
-
-// Stats exposes collector statistics mid-run (for tests).
-func (c *Core) Stats() gc.Stats { return c.heap.Stats() }
-
-// Heap exposes the collector (for tests and the checker example).
-func (c *Core) Heap() *gc.Heap { return c.heap }

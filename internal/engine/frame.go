@@ -2,32 +2,27 @@ package engine
 
 import "gcsafety/internal/machine"
 
-// Frame is one activation record on a simulated call stack. Both engines
-// share the representation: the interpreter keeps a []Frame directly, the
-// threaded backend wraps it with its lowered-code pointer, and the
-// cold-path Step pushes plain Frames for calls regardless of engine.
-type Frame struct {
+// frame is one activation record on a simulated call stack. The dispatch
+// loop and the concurrent scheduler keep []frame stacks, and the cold-path
+// step pushes plain frames for calls.
+type frame struct {
 	Fn      *machine.Func
 	PC      int
 	SavedSP uint32
 	RetReg  machine.Reg
-	// Meta caches MetaOf(Fn); frames pushed by the cold path leave it nil
+	// Meta caches the core's meta[Fn]; frames pushed by the cold path leave it nil
 	// and the dispatch loop fills it in on first activation.
-	Meta *FuncMeta
+	Meta *funcMeta
 }
 
-// FuncMeta is per-function metadata precomputed at core construction so
-// hot dispatch loops never consult a map per instruction: Targets holds
+// funcMeta is per-function metadata precomputed at core construction so
+// the dispatch loop never consults a map per instruction: Targets holds
 // the resolved destination pc for every Jmp/Bz/Bnz (aligned with Code),
 // Callees the resolved *Func for every direct Call into program code (nil
 // for runtime builtins, which dispatch by name), and CalleeMeta the
-// callee's own FuncMeta, so pushing a frame needs no map lookup either.
-type FuncMeta struct {
+// callee's own funcMeta, so pushing a frame needs no map lookup either.
+type funcMeta struct {
 	Targets    []int
 	Callees    []*machine.Func
-	CalleeMeta []*FuncMeta
+	CalleeMeta []*funcMeta
 }
-
-// MetaOf returns the precomputed metadata for a program function (nil for
-// functions outside the program the core was built for).
-func (c *Core) MetaOf(fn *machine.Func) *FuncMeta { return c.meta[fn] }

@@ -23,7 +23,7 @@ func (c *Core) inStack(a uint32) bool {
 
 // validate runs the premature-reclamation detector on heap accesses.
 func (c *Core) validate(a uint32, size uint32) error {
-	if !c.Opts.Validate {
+	if !c.opts.Validate {
 		return nil
 	}
 	return c.heap.ValidateAccess(a, size)
@@ -52,7 +52,7 @@ func (c *Core) read32raw(a uint32) (uint32, error) {
 
 // Read32 loads an aligned word from any segment, running the access
 // validator on heap addresses.
-func (c *Core) Read32(a uint32) (uint32, error) {
+func (c *Core) read32(a uint32) (uint32, error) {
 	if a%4 != 0 {
 		return 0, fmt.Errorf("misaligned word read at %#x", a)
 	}
@@ -67,7 +67,7 @@ func (c *Core) Read32(a uint32) (uint32, error) {
 
 // Write32 stores an aligned word to any segment, running the access
 // validator on heap addresses.
-func (c *Core) Write32(a, v uint32) error {
+func (c *Core) write32(a, v uint32) error {
 	if a%4 != 0 {
 		return fmt.Errorf("misaligned word write at %#x", a)
 	}
@@ -97,20 +97,6 @@ func (c *Core) Write32(a, v uint32) error {
 	}
 	return fmt.Errorf("write to unmapped address %#x", a)
 }
-
-// StackBytes returns the stack segment's backing bytes and its base
-// address; engines use it for a direct LdSP/StSP fast path (the stack can
-// never alias the heap, so the validator and shadow-heap paths are
-// unreachable for in-segment aligned accesses).
-func (c *Core) StackBytes() ([]byte, uint32) { return c.stack, machine.StackLimit }
-
-// Read8, Write8, Read16 and Write16 expose the sub-word accessors to
-// engines that dispatch the byte/halfword opcodes natively; they are the
-// same functions Step uses, so both paths fault identically.
-func (c *Core) Read8(a uint32) (byte, error)     { return c.read8(a) }
-func (c *Core) Write8(a uint32, v byte) error    { return c.write8(a, v) }
-func (c *Core) Read16(a uint32) (uint16, error)  { return c.read16(a) }
-func (c *Core) Write16(a uint32, v uint16) error { return c.write16(a, v) }
 
 func (c *Core) read8(a uint32) (byte, error) {
 	switch {

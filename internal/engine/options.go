@@ -15,23 +15,18 @@ import (
 // (errors.Is(err, ErrInstrLimit)) from a genuine memory fault.
 var ErrInstrLimit = errors.New("instruction budget exhausted")
 
-// PollInterval is how many instructions execute between polls of the
+// pollInterval is how many instructions execute between polls of the
 // run's context. Polling a context involves an atomic load and possibly a
 // channel select, far more than one simulated instruction; amortizing it
 // over a power-of-two stride keeps cancellation latency in the microsecond
-// range while costing the dispatch loop nothing measurable. Both engines
-// share the stride: the poll schedule is part of the bit-identical
-// contract (fault injection fires on it).
-const PollInterval = 1024
+// range while costing the dispatch loop nothing measurable. The poll
+// schedule is part of the bit-identical contract (fault injection fires
+// on it).
+const pollInterval = 1024
 
 // Options configures one execution.
 type Options struct {
 	Config machine.Config
-	// Engine selects the execution backend: "interp" (the switch-dispatch
-	// interpreter; the default when empty) or "threaded" (the
-	// closure-threaded backend). Every engine produces bit-identical
-	// simulated results; the knob trades host wall-clock only.
-	Engine string
 	// HeapBytes caps the collected heap (default 16 MiB).
 	HeapBytes uint32
 	// TriggerBytes is the allocation-trigger threshold (default 128 KiB).

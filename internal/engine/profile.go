@@ -8,7 +8,7 @@ import "gcsafety/internal/heapdump"
 // dispatch loop: with profiling off, c.prof is nil and the hot path pays
 // exactly one nil check on the (already cold relative to arithmetic)
 // runtime-call dispatch — never per instruction. With profiling on,
-// RuntimeCall leaves the pending call site (function name + source line
+// runtimeCall leaves the pending call site (function name + source line
 // from machine.Instr.Line) in pendFn/pendLine just before dispatching,
 // and the allocator cases consume it.
 
@@ -29,7 +29,7 @@ type allocProf struct {
 	// snapshots only consult bases that are live at capture time.
 	objSite map[uint32]int32
 	// pendFn/pendLine identify the call site of the runtime call currently
-	// dispatching (set at the top of RuntimeCall).
+	// dispatching (set at the top of runtimeCall).
 	pendFn   string
 	pendLine int32
 }

@@ -21,16 +21,16 @@ const (
 )
 
 func (c *Core) arg(i int) (uint32, error) {
-	return c.Read32(c.SP + uint32(4*i))
+	return c.read32(c.sp + uint32(4*i))
 }
 
-// RuntimeCall takes the Call instruction itself (plus the caller's name)
+// runtimeCall takes the Call instruction itself (plus the caller's name)
 // rather than an unpacked symbol/arity so the allocation-site capture can
 // live here, off the dispatch loop's critical path: by the time we are in
 // this function a real call has already been paid for, so the c.prof
-// nil-check below is noise, whereas the same check in a dispatch loop's
+// nil-check below is noise, whereas the same check in the dispatch loop's
 // Call case measurably perturbs the tuned throughput.
-func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
+func (c *Core) runtimeCall(fnName string, in *machine.Instr) (uint32, error) {
 	if c.prof != nil {
 		c.prof.pendFn, c.prof.pendLine = fnName, in.Line
 	}
@@ -54,16 +54,16 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		}
 		return 0
 	}
-	c.Cycles += rtBase
-	if c.TT != nil {
+	c.cycles += rtBase
+	if c.tt != nil {
 		// Runtime results are untagged unless a case below says otherwise.
-		c.TT.RetTag = 0
+		c.tt.retTag = 0
 	}
 	switch sym {
 	case "malloc", "GC_malloc":
-		c.Cycles += rtAlloc
+		c.cycles += rtAlloc
 		p, err := c.alloc(a(0))
-		if err == nil && c.TT != nil {
+		if err == nil && c.tt != nil {
 			c.noteAlloc(p)
 		}
 		if err == nil && c.prof != nil {
@@ -71,9 +71,9 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		}
 		return p, err
 	case "calloc":
-		c.Cycles += rtAlloc
+		c.cycles += rtAlloc
 		p, err := c.alloc(a(0) * a(1))
-		if err == nil && c.TT != nil {
+		if err == nil && c.tt != nil {
 			c.noteAlloc(p)
 		}
 		if err == nil && c.prof != nil {
@@ -81,9 +81,9 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		}
 		return p, err
 	case "realloc":
-		c.Cycles += rtAlloc
+		c.cycles += rtAlloc
 		p, err := c.realloc(a(0), a(1))
-		if err == nil && c.TT != nil {
+		if err == nil && c.tt != nil {
 			c.noteAlloc(p)
 		}
 		if err == nil && c.prof != nil {
@@ -96,7 +96,7 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		return 0, nil
 	case "GC_free":
 		// The temporal mode's real deallocator (see temporal.go).
-		c.Cycles += rtAlloc
+		c.cycles += rtAlloc
 		return c.gcFree(a(0))
 	case "join_threads":
 		// Blocks (by scheduler retry) until every sibling thread finished;
@@ -109,19 +109,19 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		c.heap.Collect()
 		return 0, nil
 	case "GC_base":
-		c.Cycles += rtCheck
+		c.cycles += rtCheck
 		b := c.heap.Base(a(0))
-		if c.TT != nil {
-			c.TT.RetTag = c.heap.EpochOf(b)
+		if c.tt != nil {
+			c.tt.retTag = c.heap.EpochOf(b)
 		}
 		return b, nil
 	case "GC_same_obj":
-		c.Cycles += rtCheck
-		if c.TT != nil {
+		c.cycles += rtCheck
+		if c.tt != nil {
 			if err := c.temporalSameObj(a(0), a(1)); err != nil {
 				return 0, err
 			}
-			c.TT.RetTag = c.argTag(0)
+			c.tt.retTag = c.argTag(0)
 		}
 		p, err := c.heap.SameObject(a(0), a(1))
 		if err != nil {
@@ -129,17 +129,17 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		}
 		return p, nil
 	case "GC_pre_incr":
-		c.Cycles += rtCheck + 4
+		c.cycles += rtCheck + 4
 		return c.gcIncr(a(0), int32(a(1)), false)
 	case "GC_post_incr":
-		c.Cycles += rtCheck + 4
+		c.cycles += rtCheck + 4
 		return c.gcIncr(a(0), int32(a(1)), true)
 	case "KEEP_LIVE":
 		// The paper's portable fallback: "a call to an external function
 		// whose implementation is unavailable to the compiler for
 		// analysis, but which actually just returns its first argument."
-		if c.TT != nil {
-			c.TT.RetTag = c.argTag(0)
+		if c.tt != nil {
+			c.tt.retTag = c.argTag(0)
 		}
 		return a(0), nil
 	case "strlen":
@@ -147,16 +147,16 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.Cycles += uint64(len(s)) * rtPerByte
+		c.cycles += uint64(len(s)) * rtPerByte
 		return uint32(len(s)), nil
 	case "strcpy":
-		if c.TT != nil {
-			c.TT.RetTag = c.argTag(0)
+		if c.tt != nil {
+			c.tt.retTag = c.argTag(0)
 		}
 		return c.strcpy(a(0), a(1), 1<<30, true)
 	case "strncpy":
-		if c.TT != nil {
-			c.TT.RetTag = c.argTag(0)
+		if c.tt != nil {
+			c.tt.retTag = c.argTag(0)
 		}
 		return c.strcpy(a(0), a(1), a(2), true)
 	case "strcat":
@@ -164,12 +164,12 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.Cycles += uint64(len(s)) * rtPerByte
+		c.cycles += uint64(len(s)) * rtPerByte
 		if _, err := c.strcpy(a(0)+uint32(len(s)), a(1), 1<<30, true); err != nil {
 			return 0, err
 		}
-		if c.TT != nil {
-			c.TT.RetTag = c.argTag(0)
+		if c.tt != nil {
+			c.tt.retTag = c.argTag(0)
 		}
 		return a(0), nil
 	case "strcmp":
@@ -181,30 +181,30 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.Cycles += uint64(len(s)) * rtPerByte
+		c.cycles += uint64(len(s)) * rtPerByte
 		for i := 0; i <= len(s); i++ {
 			var ch byte
 			if i < len(s) {
 				ch = s[i]
 			}
 			if ch == byte(a(1)) {
-				if c.TT != nil {
-					c.TT.RetTag = c.argTag(0)
+				if c.tt != nil {
+					c.tt.retTag = c.argTag(0)
 				}
 				return a(0) + uint32(i), nil
 			}
 		}
 		return 0, nil
 	case "memcpy", "memmove":
-		if c.TT != nil {
-			c.TT.RetTag = c.argTag(0)
+		if c.tt != nil {
+			c.tt.retTag = c.argTag(0)
 		}
 		return c.memmove(a(0), a(1), a(2))
 	case "memset":
-		if c.TT != nil {
-			c.TT.RetTag = c.argTag(0)
+		if c.tt != nil {
+			c.tt.retTag = c.argTag(0)
 		}
-		c.Cycles += uint64(a(2)) * rtPerByte
+		c.cycles += uint64(a(2)) * rtPerByte
 		for i := uint32(0); i < a(2); i++ {
 			if err := c.write8(a(0)+i, byte(a(1))); err != nil {
 				return 0, err
@@ -212,7 +212,7 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		}
 		return a(0), nil
 	case "memcmp":
-		c.Cycles += uint64(a(2)) * rtPerByte
+		c.cycles += uint64(a(2)) * rtPerByte
 		for i := uint32(0); i < a(2); i++ {
 			x, err := c.read8(a(0) + i)
 			if err != nil {
@@ -252,14 +252,14 @@ func (c *Core) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) {
 		fmt.Fprintf(&c.out, "%d", int32(a(0)))
 		return 0, nil
 	case "getchar":
-		if c.in >= len(c.Opts.Input) {
+		if c.in >= len(c.opts.Input) {
 			return uint32(0xFFFFFFFF), nil // EOF
 		}
-		ch := c.Opts.Input[c.in]
+		ch := c.opts.Input[c.in]
 		c.in++
 		return uint32(ch), nil
 	case "exit":
-		c.Exited = true
+		c.exited = true
 		c.exit = int32(a(0))
 		return 0, nil
 	case "abort":
@@ -309,23 +309,23 @@ func (c *Core) realloc(p, n uint32) (uint32, error) {
 }
 
 func (c *Core) gcIncr(slot uint32, delta int32, post bool) (uint32, error) {
-	old, err := c.Read32(slot)
+	old, err := c.read32(slot)
 	if err != nil {
 		return 0, err
 	}
 	nw := uint32(int64(old) + int64(delta))
-	if err := c.Write32(slot, nw); err != nil {
+	if err := c.write32(slot, nw); err != nil {
 		return 0, err
 	}
-	if c.TT != nil {
+	if c.tt != nil {
 		// The pointer variable's stored tag survives the in-place update
 		// and checks the moved pointer against its birth epoch.
-		if tg := c.TT.memTag(slot); tg != 0 {
+		if tg := c.tt.memTag(slot); tg != 0 {
 			if err := c.epochCheck(old, tg); err != nil {
 				return 0, err
 			}
 		}
-		c.TT.RetTag = c.TT.memTag(slot)
+		c.tt.retTag = c.tt.memTag(slot)
 	}
 	if _, err := c.heap.SameObject(nw, old); err != nil {
 		return 0, &CheckError{Err: err}
@@ -346,7 +346,7 @@ func (c *Core) strcpy(dst, src, max uint32, nulTerm bool) (uint32, error) {
 		if err := c.write8(dst+i, ch); err != nil {
 			return 0, err
 		}
-		c.Cycles += rtPerByte
+		c.cycles += rtPerByte
 		if ch == 0 {
 			break
 		}
@@ -364,7 +364,7 @@ func (c *Core) strcmp(p, q, max uint32) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.Cycles += rtPerByte
+		c.cycles += rtPerByte
 		if x != y {
 			if x < y {
 				return uint32(0xFFFFFFFF), nil
@@ -379,7 +379,7 @@ func (c *Core) strcmp(p, q, max uint32) (uint32, error) {
 }
 
 func (c *Core) memmove(dst, src, n uint32) (uint32, error) {
-	c.Cycles += uint64(n) * rtPerByte
+	c.cycles += uint64(n) * rtPerByte
 	if dst < src {
 		for i := uint32(0); i < n; i++ {
 			ch, err := c.read8(src + i)

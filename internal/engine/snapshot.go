@@ -18,7 +18,7 @@ import (
 //
 //   - the machine's own goroutine captures directly — at exit, on a
 //     checker violation, or when it serves a cross-goroutine request at
-//     the context-poll stride (the engine's safe point);
+//     the context-poll stride (the run's safe point);
 //   - any other goroutine calls RequestSnapshot, which parks a request in
 //     snapPending and waits for the dispatch loop to serve it. After the
 //     run finishes (snapDone), requesters self-serve: the machine is
@@ -38,7 +38,7 @@ type snapRequest struct{ resp chan snapResult }
 // fires the "heapdump.capture" fault point first: an injected error loses
 // the snapshot but never perturbs the run itself.
 func (c *Core) CaptureSnapshot(trigger, reason string, faultAddr uint32) (*heapdump.Snapshot, error) {
-	if f := c.Opts.Faults; f != nil {
+	if f := c.opts.Faults; f != nil {
 		if err := f.Fire(faultinject.PointHeapdump); err != nil {
 			return nil, fmt.Errorf("heapdump capture: %w", err)
 		}
@@ -74,7 +74,7 @@ func (c *Core) emitRoots(emit func(kind string, thread int, slot, word uint32)) 
 			}
 			sp := t.sp
 			if i == c.cur {
-				sp = c.SP // regs alias t.regs; only sp is cached in c
+				sp = c.sp // regs alias t.regs; only sp is cached in c
 			}
 			for ri, r := range t.regs {
 				emit(heapdump.RootReg, i, uint32(ri), r)
@@ -86,10 +86,10 @@ func (c *Core) emitRoots(emit func(kind string, thread int, slot, word uint32)) 
 			}
 		}
 	} else {
-		for ri, r := range c.Regs {
+		for ri, r := range c.regs {
 			emit(heapdump.RootReg, 0, uint32(ri), r)
 		}
-		for a := c.SP &^ 3; a < machine.StackTop; a += 4 {
+		for a := c.sp &^ 3; a < machine.StackTop; a += 4 {
 			if w, err := c.read32raw(a); err == nil {
 				emit(heapdump.RootStack, 0, a, w)
 			}
@@ -104,7 +104,7 @@ func (c *Core) emitRoots(emit func(kind string, thread int, slot, word uint32)) 
 
 // RequestSnapshot asks a (possibly running) machine for a heap snapshot
 // and blocks until one is taken. While the program runs, the snapshot is
-// captured by the engine goroutine at its next safe point (the
+// captured by the run goroutine at its next safe point (the
 // context-poll stride, every 1024 instructions), so the mutator is always
 // stopped during capture; after the run, the requester captures on its own
 // goroutine. This is the one Core method that may be called from another

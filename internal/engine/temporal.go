@@ -6,7 +6,7 @@ import (
 	"gcsafety/internal/machine"
 )
 
-// Temporal mode: the engine-neutral half of the temporal-safety checker.
+// Temporal mode: the execution half of the temporal-safety checker.
 //
 // The collector half (internal/gc epoch.go) stamps every allocation with a
 // monotonically increasing epoch. This file tracks, purely on the side, the
@@ -32,44 +32,44 @@ type TemporalError struct {
 
 func (e *TemporalError) Error() string { return "temporal check failed: " + e.Msg }
 
-// TemporalState is the shadow-tag store. regTags is swapped per thread in
+// temporalState is the shadow-tag store. regTags is swapped per thread in
 // concurrent mode; memTags covers the whole (shared) address space at word
-// granularity, with absent entries meaning tag 0. Track owns all
-// propagation; engines only consume SetTag/RetTag at call-return sites.
-type TemporalState struct {
+// granularity, with absent entries meaning tag 0. track owns all
+// propagation; the loops only consume setTag/retTag at call-return sites.
+type temporalState struct {
 	regTags []uint32
 	memTags map[uint32]uint32
-	// RetTag carries the tag of the value a runtime builtin or user
+	// retTag carries the tag of the value a runtime builtin or user
 	// function is about to return to the caller's result register.
-	RetTag uint32
+	retTag uint32
 }
 
-func newTemporalState(nregs int) *TemporalState {
-	return &TemporalState{
+func newTemporalState(nregs int) *temporalState {
+	return &temporalState{
 		regTags: make([]uint32, nregs),
 		memTags: make(map[uint32]uint32),
 	}
 }
 
-func (t *TemporalState) tag(r machine.Reg) uint32 {
+func (t *temporalState) tag(r machine.Reg) uint32 {
 	if r == machine.NoReg || int(r) >= len(t.regTags) {
 		return 0
 	}
 	return t.regTags[r]
 }
 
-// SetTag tags register r (NoReg and out-of-range writes are dropped,
+// setTag tags register r (NoReg and out-of-range writes are dropped,
 // mirroring SetReg).
-func (t *TemporalState) SetTag(r machine.Reg, v uint32) {
+func (t *temporalState) setTag(r machine.Reg, v uint32) {
 	if r == machine.NoReg || int(r) >= len(t.regTags) {
 		return
 	}
 	t.regTags[r] = v
 }
 
-func (t *TemporalState) memTag(a uint32) uint32 { return t.memTags[a&^3] }
+func (t *temporalState) memTag(a uint32) uint32 { return t.memTags[a&^3] }
 
-func (t *TemporalState) setMemTag(a, v uint32) {
+func (t *temporalState) setMemTag(a, v uint32) {
 	a &^= 3
 	if v == 0 {
 		delete(t.memTags, a)
@@ -78,18 +78,18 @@ func (t *TemporalState) setMemTag(a, v uint32) {
 	t.memTags[a] = v
 }
 
-// Track runs once per instruction, before the opcode executes: it checks
+// track runs once per instruction, before the opcode executes: it checks
 // memory operands addressed through a tagged register against the heap's
 // current epochs, then propagates tags to the destination. Untagged (0)
 // always passes — tags only originate at allocations, so programs that
 // never touch stale storage never fault.
-func (c *Core) Track(in *machine.Instr) error {
-	tt := c.TT
+func (c *Core) track(in *machine.Instr) error {
+	tt := c.tt
 	switch in.Op {
 	case machine.Ld, machine.LdB, machine.LdBu, machine.LdH, machine.LdHu,
 		machine.St, machine.StB, machine.StH:
 		if tg := tt.tag(in.Rs1); tg != 0 {
-			if err := c.epochCheck(c.Reg(in.Rs1)+c.Src2(in), tg); err != nil {
+			if err := c.epochCheck(c.reg(in.Rs1)+c.src2(in), tg); err != nil {
 				return err
 			}
 		}
@@ -97,9 +97,9 @@ func (c *Core) Track(in *machine.Instr) error {
 	switch in.Op {
 	case machine.Mov:
 		if in.HasImm {
-			tt.SetTag(in.Rd, 0)
+			tt.setTag(in.Rd, 0)
 		} else {
-			tt.SetTag(in.Rd, tt.tag(in.Rs1))
+			tt.setTag(in.Rd, tt.tag(in.Rs1))
 		}
 	case machine.Add:
 		// Pointer arithmetic: pointer + untagged offset keeps the pointer's
@@ -110,11 +110,11 @@ func (c *Core) Track(in *machine.Instr) error {
 		}
 		switch {
 		case t1 != 0 && t2 == 0:
-			tt.SetTag(in.Rd, t1)
+			tt.setTag(in.Rd, t1)
 		case t2 != 0 && t1 == 0:
-			tt.SetTag(in.Rd, t2)
+			tt.setTag(in.Rd, t2)
 		default:
-			tt.SetTag(in.Rd, 0)
+			tt.setTag(in.Rd, 0)
 		}
 	case machine.Sub:
 		t2 := uint32(0)
@@ -122,25 +122,25 @@ func (c *Core) Track(in *machine.Instr) error {
 			t2 = tt.tag(in.Rs2)
 		}
 		if t2 == 0 {
-			tt.SetTag(in.Rd, tt.tag(in.Rs1))
+			tt.setTag(in.Rd, tt.tag(in.Rs1))
 		} else {
-			tt.SetTag(in.Rd, 0) // pointer difference: an integer
+			tt.setTag(in.Rd, 0) // pointer difference: an integer
 		}
 	case machine.Ld:
-		tt.SetTag(in.Rd, tt.memTag(c.Reg(in.Rs1)+c.Src2(in)))
+		tt.setTag(in.Rd, tt.memTag(c.reg(in.Rs1)+c.src2(in)))
 	case machine.LdSP:
-		tt.SetTag(in.Rd, tt.memTag(c.SP+uint32(in.Imm)))
+		tt.setTag(in.Rd, tt.memTag(c.sp+uint32(in.Imm)))
 	case machine.St:
-		tt.setMemTag(c.Reg(in.Rs1)+c.Src2(in), tt.tag(in.Rd))
+		tt.setMemTag(c.reg(in.Rs1)+c.src2(in), tt.tag(in.Rd))
 	case machine.StSP, machine.Arg:
-		tt.setMemTag(c.SP+uint32(in.Imm), tt.tag(in.Rd))
+		tt.setMemTag(c.sp+uint32(in.Imm), tt.tag(in.Rd))
 	case machine.StB, machine.StH:
 		// A sub-word store clobbers part of the word: tag unknown.
-		tt.setMemTag(c.Reg(in.Rs1)+c.Src2(in), 0)
+		tt.setMemTag(c.reg(in.Rs1)+c.src2(in), 0)
 	case machine.KeepLive:
-		tt.SetTag(in.Rd, tt.tag(in.Rs1))
+		tt.setTag(in.Rd, tt.tag(in.Rs1))
 	case machine.Ret:
-		tt.RetTag = tt.tag(in.Rs1)
+		tt.retTag = tt.tag(in.Rs1)
 	case machine.Jmp, machine.Bz, machine.Bnz, machine.Nop, machine.Label,
 		machine.AdjSP, machine.Call, machine.CallR:
 		// No general-purpose destination is written here; Call results are
@@ -148,7 +148,7 @@ func (c *Core) Track(in *machine.Instr) error {
 	default:
 		// Every other opcode (byte/half loads, mul/div, logic, shifts,
 		// compares, LeaSP) computes a non-pointer or non-heap value.
-		tt.SetTag(in.Rd, 0)
+		tt.setTag(in.Rd, 0)
 	}
 	return nil
 }
@@ -177,10 +177,10 @@ func (c *Core) epochCheck(addr uint32, tag uint32) error {
 // argTag returns the shadow tag of runtime-call argument i (arguments are
 // words at sp+4i), or 0 outside temporal mode.
 func (c *Core) argTag(i int) uint32 {
-	if c.TT == nil {
+	if c.tt == nil {
 		return 0
 	}
-	return c.TT.memTag(c.SP + uint32(4*i))
+	return c.tt.memTag(c.sp + uint32(4*i))
 }
 
 // noteAlloc tags an allocation result with its birth epoch and clears any
@@ -188,8 +188,8 @@ func (c *Core) argTag(i int) uint32 {
 // recycled from a freed object whose stale word tags must not leak into its
 // next life.
 func (c *Core) noteAlloc(a uint32) {
-	tt := c.TT
-	tt.RetTag = c.heap.EpochOf(a)
+	tt := c.tt
+	tt.retTag = c.heap.EpochOf(a)
 	if a == 0 {
 		return
 	}

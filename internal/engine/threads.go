@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"gcsafety/internal/faultinject"
 	"gcsafety/internal/machine"
 )
 
@@ -15,13 +14,12 @@ import (
 // and bounded by the poll stride. The schedule is a pure function of
 // (program, input, seed): every run of a treatment is bit-identical, which
 // is what lets concurrent treatments participate in differential testing
-// at all. The scheduler lives in the engine-neutral core and dispatches
-// every opcode through the cold-path Step, so every engine's concurrent
-// runs share one interleaving and one semantics by construction. Thread 0
-// executes the entry function; thread i executes the program's "thread<i>"
-// function when defined (absent workers are skipped). The stack is carved
-// into equal per-thread segments, thread 0 topmost. A fault in any thread
-// aborts the whole run; exit() stops all threads.
+// at all. The scheduler dispatches every opcode through the cold-path
+// step. Thread 0 executes the entry function; thread i executes the
+// program's "thread<i>" function when defined (absent workers are
+// skipped). The stack is carved into equal per-thread segments, thread 0
+// topmost. A fault in any thread aborts the whole run; exit() stops all
+// threads.
 
 // errJoinWait is the internal sentinel the join_threads builtin returns
 // while sibling threads are still running: the scheduler rewinds the call
@@ -33,7 +31,7 @@ var errJoinWait = errors.New("join_threads: siblings still running")
 // bounds, temporal shadow tags for the register file).
 type mthread struct {
 	id      int
-	frames  []Frame
+	frames  []frame
 	regs    []uint32
 	regTags []uint32 // nil unless temporal mode
 	sp      uint32
@@ -41,13 +39,9 @@ type mthread struct {
 	done    bool
 }
 
-// threadEntryName is the naming convention binding worker i to its entry
-// function.
-func threadEntryName(i int) string { return fmt.Sprintf("thread%d", i) }
-
 // runThreads executes entry as thread 0 alongside up to Threads-1 workers.
 func (c *Core) runThreads(entry *machine.Func) error {
-	n := c.Opts.Threads
+	n := c.opts.Threads
 	total := uint32(machine.StackTop - machine.StackLimit)
 	seg := (total / uint32(n)) &^ 255
 	if seg < 4096 {
@@ -56,7 +50,7 @@ func (c *Core) runThreads(entry *machine.Func) error {
 	for i := 0; i < n; i++ {
 		fn := entry
 		if i > 0 {
-			fn = c.prog.Funcs[threadEntryName(i)]
+			fn = c.prog.Funcs[fmt.Sprintf("thread%d", i)] // see Options.Threads
 			if fn == nil {
 				continue
 			}
@@ -64,34 +58,34 @@ func (c *Core) runThreads(entry *machine.Func) error {
 		hi := uint32(machine.StackTop) - uint32(i)*seg
 		t := &mthread{
 			id:   i,
-			regs: make([]uint32, len(c.Regs)),
+			regs: make([]uint32, len(c.regs)),
 			sp:   hi,
 			lo:   hi - seg,
 			hi:   hi,
 		}
-		if c.TT != nil {
-			t.regTags = make([]uint32, len(c.Regs))
+		if c.tt != nil {
+			t.regTags = make([]uint32, len(c.regs))
 		}
-		t.frames = append(t.frames, Frame{Fn: fn, PC: 0, SavedSP: hi, RetReg: machine.NoReg})
+		t.frames = append(t.frames, frame{Fn: fn, PC: 0, SavedSP: hi, RetReg: machine.NoReg})
 		c.threads = append(c.threads, t)
 	}
-	c.schedRng = c.Opts.SchedSeed
+	c.schedRng = c.opts.SchedSeed
 	if c.schedRng == 0 {
 		c.schedRng = 0x9E3779B97F4A7C15
 	}
 	c.cur = -1
-	for !c.Exited {
+	for !c.exited {
 		next := c.pickThread()
 		if next < 0 {
 			break // every thread ran to completion
 		}
 		if next != c.cur {
 			c.switchTo(next)
-			if c.Opts.CollectAtSwitch {
+			if c.opts.CollectAtSwitch {
 				c.heap.Collect()
 			}
 		}
-		quantum := 1 + c.schedNext()%PollInterval
+		quantum := 1 + c.schedNext()%pollInterval
 		if err := c.execQuantum(c.threads[next], quantum); err != nil {
 			return err
 		}
@@ -132,15 +126,15 @@ func (c *Core) schedNext() uint64 {
 // copied, so the collector always sees every thread's live registers.
 func (c *Core) switchTo(i int) {
 	if c.cur >= 0 {
-		c.threads[c.cur].sp = c.SP
+		c.threads[c.cur].sp = c.sp
 	}
 	t := c.threads[i]
 	c.cur = i
-	c.Regs = t.regs
-	c.SP = t.sp
-	c.StackLo, c.StackHi = t.lo, t.hi
-	if c.TT != nil {
-		c.TT.regTags = t.regTags
+	c.regs = t.regs
+	c.sp = t.sp
+	c.stackLo, c.stackHi = t.lo, t.hi
+	if c.tt != nil {
+		c.tt.regTags = t.regTags
 	}
 }
 
@@ -156,61 +150,52 @@ func (c *Core) threadsRemaining() bool {
 }
 
 // execQuantum runs up to quantum instructions of thread t. It mirrors the
-// single-thread loop's per-instruction bookkeeping (instruction budget,
-// context poll, cycle accounting, asynchronous-GC tick) but dispatches
-// every opcode through the cold-path Step: concurrent treatments are new
-// measurement columns, not cycle-compatible reruns of the single-thread
-// numbers, so the engines' inline fast paths are not duplicated here.
+// dispatch loop's per-instruction bookkeeping (instruction budget, poll,
+// cycle accounting, asynchronous-GC tick) but dispatches every opcode
+// through the cold-path step: concurrent treatments are new measurement
+// columns, not cycle-compatible reruns of the single-thread numbers, so
+// the dispatch loop's inline fast paths are not duplicated here.
 func (c *Core) execQuantum(t *mthread, quantum uint64) error {
 	var (
-		maxInstrs = c.Opts.MaxInstrs
-		gcEvery   = c.Opts.GCEveryInstrs
-		faults    = c.Opts.Faults
+		maxInstrs = c.opts.MaxInstrs
+		gcEvery   = c.opts.GCEveryInstrs
 	)
-	for quantum > 0 && len(t.frames) > 0 && !c.Exited {
+	for quantum > 0 && len(t.frames) > 0 && !c.exited {
 		fr := &t.frames[len(t.frames)-1]
 		if fr.PC >= len(fr.Fn.Code) {
 			c.popFrame(t, 0, true) // fall off the end: return 0
 			continue
 		}
 		in := &fr.Fn.Code[fr.PC]
-		if c.Instrs >= maxInstrs {
+		if c.instrs >= maxInstrs {
 			return &FaultError{Fn: fr.Fn.Name, PC: fr.PC,
 				Err: fmt.Errorf("%w (%d)", ErrInstrLimit, maxInstrs)}
 		}
-		if c.Instrs%PollInterval == 0 {
-			if err := c.Ctx.Err(); err != nil {
+		// The poll is also a snapshot-serving safe point: all mutator
+		// threads are stopped here.
+		if c.instrs%pollInterval == 0 {
+			if err := c.poll(); err != nil {
 				return &FaultError{Fn: fr.Fn.Name, PC: fr.PC, Err: err}
 			}
-			if faults != nil {
-				if err := faults.Fire(faultinject.PointInterpStep); err != nil {
-					return &FaultError{Fn: fr.Fn.Name, PC: fr.PC, Err: err}
-				}
-			}
-			// The concurrent scheduler's poll is also a snapshot-serving
-			// safe point: all mutator threads are stopped here.
-			if c.snapPending.Load() != nil {
-				c.serveSnapshot()
-			}
 		}
-		c.Instrs++
-		c.Cycles += c.Costs[in.Op]
+		c.instrs++
+		c.cycles += c.costs[in.Op]
 		if gcEvery > 0 {
-			c.SinceGC++
-			if c.SinceGC >= gcEvery {
-				c.SinceGC = 0
+			c.sinceGC++
+			if c.sinceGC >= gcEvery {
+				c.sinceGC = 0
 				c.heap.Collect()
 			}
 		}
 		quantum--
-		if c.TT != nil {
-			if err := c.Track(in); err != nil {
+		if c.tt != nil {
+			if err := c.track(in); err != nil {
 				return &FaultError{Fn: fr.Fn.Name, PC: fr.PC, Err: err}
 			}
 		}
 		pc := fr.PC
 		fr.PC = pc + 1
-		ret, push, err := c.Step(fr, in)
+		ret, push, err := c.step(fr, in)
 		if err != nil {
 			if errors.Is(err, errJoinWait) {
 				fr.PC = pc // retry the join on the next quantum
@@ -223,7 +208,7 @@ func (c *Core) execQuantum(t *mthread, quantum uint64) error {
 			continue
 		}
 		if ret {
-			c.popFrame(t, c.PendingRet, false)
+			c.popFrame(t, c.pendingRet, false)
 		}
 	}
 	if len(t.frames) == 0 {
@@ -237,13 +222,13 @@ func (c *Core) execQuantum(t *mthread, quantum uint64) error {
 // the frame fell off the end, which returns an untagged 0).
 func (c *Core) popFrame(t *mthread, val uint32, fallOff bool) {
 	fr := &t.frames[len(t.frames)-1]
-	c.SP = fr.SavedSP
-	c.SetReg(fr.RetReg, val)
-	if c.TT != nil {
+	c.sp = fr.SavedSP
+	c.setReg(fr.RetReg, val)
+	if c.tt != nil {
 		if fallOff {
-			c.TT.SetTag(fr.RetReg, 0)
+			c.tt.setTag(fr.RetReg, 0)
 		} else {
-			c.TT.SetTag(fr.RetReg, c.TT.RetTag)
+			c.tt.setTag(fr.RetReg, c.tt.retTag)
 		}
 	}
 	t.frames = t.frames[:len(t.frames)-1]

@@ -10,48 +10,33 @@ import (
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
-	"gcsafety/internal/threaded"
 )
 
 // FuzzDifferential is the native fuzzing entry point for the differential
 // property: the fuzzer mutates the byte string that drives the program
 // generator, and every resulting program must agree with its model under
-// every must-agree treatment. The boolean is the engine column: it picks
-// which execution backend runs the base cube (the matrix pairs every
-// treatment with a twin on the other engine either way, so both engines
-// execute every program — the column just lets the fuzzer flip which side
-// is the reference). One machine is fuzzed per input to keep the
+// every must-agree treatment. One machine is fuzzed per input to keep the
 // per-execution cost down; the seeded deterministic tests cover the full
 // machine set. Run with:
 //
 //	go test -fuzz=FuzzDifferential -fuzztime=30s ./internal/fuzz
 func FuzzDifferential(f *testing.F) {
-	for _, threadedBase := range []bool{false, true} {
-		f.Add([]byte{}, threadedBase)
-		f.Add([]byte{0}, threadedBase)
-		f.Add([]byte{6, 6, 6, 6}, threadedBase)
-		f.Add([]byte{3, 7, 200, 41, 0, 0, 99, 5}, threadedBase)
-		f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1, 0, 255, 13}, threadedBase)
-		f.Add([]byte("the quick brown fox jumps over the lazy dog"), threadedBase)
-	}
-	f.Fuzz(func(t *testing.T, data []byte, threadedBase bool) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{6, 6, 6, 6})
+	f.Add([]byte{3, 7, 200, 41, 0, 0, 99, 5})
+	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1, 0, 255, 13})
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"))
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			data = data[:64]
-		}
-		var eng string
-		if threadedBase {
-			eng = threaded.Name
 		}
 		p := GenerateBytes(data)
 		m, err := RunMatrix(p, MatrixOptions{
 			Machines: []machine.Config{machine.SPARCstation10()},
-			Engine:   eng,
 		})
 		if err != nil {
 			t.Fatalf("harness failure: %v\n%s", err, p.Source)
-		}
-		if len(m.EngineDivergences) > 0 {
-			t.Fatalf("engine divergence:\n%s\n%s", m.EngineDivergences[0], p.Source)
 		}
 		if len(m.Violations) > 0 {
 			bad := m.Violations[0]

@@ -15,27 +15,16 @@
 //     reclaimed heap objects — the harness's premature-collection detector
 //     (never part of the cost model).
 //
-// Since the engine split, the machine state, runtime library, checkers and
-// scheduler live in the engine-neutral internal/engine core; this package
-// contributes the classic switch-dispatch loop (internal/interp/internal/
-// dispatch) and registers it as the "interp" engine. The package-level
-// Run/RunContext dispatch through the engine registry, so Options.Engine
-// selects any registered backend — including the closure-threaded engine
-// in internal/threaded — while the historical types remain aliases of the
-// engine's and keep every caller source-compatible.
+// The machine state, dispatch loop, runtime library, checkers and scheduler
+// live in internal/engine; this package is the face existing callers use,
+// its types aliases of the engine's.
 package interp
 
 import (
 	"context"
 
 	"gcsafety/internal/engine"
-	"gcsafety/internal/interp/internal/dispatch"
 	"gcsafety/internal/machine"
-
-	// Register the closure-threaded backend alongside the interpreter, so
-	// every surface that reaches execution through this package (the API,
-	// ccrun, the daemon, the fuzz matrix) can select either engine by name.
-	_ "gcsafety/internal/threaded"
 )
 
 // ErrInstrLimit is the sentinel wrapped by the fault produced when a run
@@ -43,8 +32,7 @@ import (
 // (errors.Is(err, ErrInstrLimit)) from a genuine memory fault.
 var ErrInstrLimit = engine.ErrInstrLimit
 
-// Options configures one execution (engine-neutral; Options.Engine selects
-// the backend).
+// Options configures one execution.
 type Options = engine.Options
 
 // Result reports one execution.
@@ -61,19 +49,16 @@ type CheckError = engine.CheckError
 // temporal shadow-tag checker).
 type TemporalError = engine.TemporalError
 
-// Machine is the switch-dispatch execution engine: the engine-neutral core
-// plus this package's dispatch loop.
-type Machine struct {
-	*engine.Core
-}
+// Machine is one prepared run of a program; its Run and RunContext
+// execute the entry function.
+type Machine = engine.Core
 
 // New prepares a machine for the program.
 func New(prog *machine.Program, opts Options) *Machine {
-	return &Machine{Core: engine.NewCore(prog, opts)}
+	return engine.NewCore(prog, opts)
 }
 
-// Run executes the program under the engine opts.Engine selects (the
-// switch-dispatch interpreter by default) and returns the result.
+// Run executes the program and returns the result.
 func Run(prog *machine.Program, opts Options) (*Result, error) {
 	return RunContext(context.Background(), prog, opts)
 }
@@ -83,29 +68,5 @@ func Run(prog *machine.Program, opts Options) (*Result, error) {
 // ctx.Err(). This is the entry point the gcsafed daemon uses to bound
 // adversarial inputs.
 func RunContext(ctx context.Context, prog *machine.Program, opts Options) (*Result, error) {
-	return engine.Run(ctx, prog, opts)
-}
-
-// Run executes the entry function to completion.
-func (m *Machine) Run() (*Result, error) {
-	return m.RunContext(context.Background())
-}
-
-// RunContext executes the entry function to completion or until ctx is
-// done, whichever comes first.
-func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
-	return m.Core.RunWith(ctx, func(entry *machine.Func, retReg machine.Reg) error {
-		return dispatch.Call(m.Core, entry, retReg)
-	})
-}
-
-// interpEngine adapts this package to the engine registry.
-type interpEngine struct{}
-
-func (interpEngine) Name() string { return engine.DefaultName }
-
-func (interpEngine) Run(ctx context.Context, prog *machine.Program, opts Options) (*Result, error) {
 	return New(prog, opts).RunContext(ctx)
 }
-
-func init() { engine.Register(interpEngine{}) }

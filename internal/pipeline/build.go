@@ -12,7 +12,6 @@ import (
 	"gcsafety/internal/liveness"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/peephole"
-	"gcsafety/internal/threaded"
 )
 
 // Options configures one walk of the stage graph. Only the stages a
@@ -35,11 +34,6 @@ type Options struct {
 	// ablation switches.
 	DisableReassociation bool
 	DisableLoadFolding   bool
-	// Engine names the execution backend the build feeds. Only the
-	// closure-threaded engine has a build-time artifact (the Lower stage);
-	// every other value leaves the graph — and every cache key — exactly
-	// as it was before the engine axis existed.
-	Engine string
 }
 
 // Result is one build's outputs. Everything in it may be shared with
@@ -55,11 +49,6 @@ type Result struct {
 	// Peephole reports what the postprocessor changed (nil when
 	// postprocessing was disabled).
 	Peephole *peephole.Stats
-	// Lowered is the closure-threaded engine's pre-compiled form of Prog
-	// (nil unless Options.Engine selected it). Like every artifact it may
-	// be shared between builds; lowered programs are immutable after
-	// construction and safe for concurrent execution.
-	Lowered *threaded.Program
 	// File is the checked — and, when annotation ran, annotated — AST.
 	File *ast.File
 	// Report describes the walk: per-stage cache hits and durations.
@@ -296,7 +285,6 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		return nil, &StageError{Stage: StageOptimize, Err: err}
 	}
 	res.Prog = v.(*machine.Program)
-	kfinal := kopt
 
 	if opts.Post {
 		// The machine config feeding the postprocessor is already part of
@@ -315,25 +303,6 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		res.Prog = p.prog
 		st := p.stats
 		res.Peephole = &st
-		kfinal = kpeep
-	}
-
-	if opts.Engine == threaded.Name {
-		// Lower the final program into the closure-threaded engine's form.
-		// The stage is gated on the engine selection rather than keyed by
-		// it: builds for any other engine never reach this node, so every
-		// pre-existing key stays byte-stable. Lowering depends on nothing
-		// but the program, so the chained key is the whole key.
-		klower := stageKey(StageLower, kfinal).Sum()
-		prog := res.Prog
-		v, err = r.run(ctx, StageLower, klower, rep, func() (any, int64, error) {
-			lp := threaded.Lower(prog)
-			return lp, int64(prog.Size())*48 + 512, nil
-		})
-		if err != nil {
-			return nil, &StageError{Stage: StageLower, Err: err}
-		}
-		res.Lowered = v.(*threaded.Program)
 	}
 	return res, nil
 }

@@ -2,7 +2,7 @@
 // parse → annotate → compile → postprocess build path, split into an
 // explicit DAG of stages
 //
-//	Lex → Parse → Typecheck → Liveness → Annotate(mode) → Codegen(machine) → Optimize → Peephole → Lower(engine)
+//	Lex → Parse → Typecheck → Liveness → Annotate(mode) → Codegen(machine) → Optimize → Peephole
 //
 // each of which declares typed input/output artifacts and a content key
 // derived from its input keys, its own version string, and a fingerprint
@@ -37,8 +37,7 @@ type Stage string
 
 // The stages, in dependency order. Liveness runs only for elided
 // treatments, Annotate is skipped when annotation is disabled, Peephole
-// when postprocessing is disabled, and Lower runs only for builds that
-// target the closure-threaded engine; the other five run on every build.
+// when postprocessing is disabled; the other five run on every build.
 const (
 	StageLex       Stage = "lex"
 	StageParse     Stage = "parse"
@@ -48,14 +47,13 @@ const (
 	StageCodegen   Stage = "codegen"
 	StageOptimize  Stage = "optimize"
 	StagePeephole  Stage = "peephole"
-	StageLower     Stage = "lower"
 )
 
 // Stages returns every stage in dependency order.
 func Stages() []Stage {
 	return []Stage{
 		StageLex, StageParse, StageTypecheck, StageLiveness, StageAnnotate,
-		StageCodegen, StageOptimize, StagePeephole, StageLower,
+		StageCodegen, StageOptimize, StagePeephole,
 	}
 }
 
@@ -91,7 +89,6 @@ var (
 		StageCodegen:  "v2",
 		StageOptimize: "v1",
 		StagePeephole: "v1",
-		StageLower:    "v1",
 	}
 )
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gcsafety/internal/artifact"
-	"gcsafety/internal/engine"
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/fuzz"
 	"gcsafety/internal/gcsafe"
@@ -408,11 +407,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) error {
 // RunRequest compiles (through the cache) and executes a program.
 type RunRequest struct {
 	CompileRequest
-	// Engine selects the execution backend: "interp" (default) or
-	// "threaded". Unknown names are rejected with a 400 listing the valid
-	// engines. Both backends produce bit-identical simulated results; the
-	// knob exists for wall-clock behavior and for differential exercise.
-	Engine string `json:"engine"`
 	// Input is the byte stream consumed by getchar().
 	Input string `json:"input"`
 	// GCEvery triggers a collection every n instructions (async regime).
@@ -470,10 +464,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if _, err := engine.Lookup(req.Engine); err != nil {
-		// Lookup's error text carries the valid-engine list.
-		return errf(http.StatusBadRequest, "%v", err)
-	}
 	c, hit, err := s.compile(r.Context(), req.Name, req.Source, ann, req.Optimize, req.Post, req.Elide, cfg)
 	if err != nil {
 		return err
@@ -488,7 +478,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		steps = req.MaxSteps
 	}
 	res, runErr := interp.RunContext(ctx, c.prog, interp.Options{
-		Engine:              req.Engine,
 		Config:              cfg,
 		Input:               req.Input,
 		GCEveryInstrs:       req.GCEvery,
@@ -514,7 +503,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		resp.Collections = res.GCStats.Collections
 		resp.Allocated = res.GCStats.ObjectsAlloced
 		s.metrics.runs.record(res.Instrs, res.Cycles, res.GCStats, runErr != nil)
-		s.metrics.recordEngineRun(req.Engine)
 	}
 	if runErr != nil {
 		resp.Fault = runErr.Error()
@@ -551,12 +539,6 @@ type MatrixRequest struct {
 	Machines []string `json:"machines"`
 	// SkipAdversarial drops the hostile-schedule runs.
 	SkipAdversarial bool `json:"skip_adversarial"`
-	// Engine is the backend the base treatments run on ("" = interp);
-	// unknown names get a 400 with the valid-engine list.
-	Engine string `json:"engine"`
-	// SkipEngineTwins drops the engine-twin comparison runs (halving the
-	// matrix cost when only one engine's classification is wanted).
-	SkipEngineTwins bool `json:"skip_engine_twins"`
 }
 
 // MatrixResponse summarizes the matrix outcome.
@@ -574,9 +556,6 @@ type MatrixResponse struct {
 	// RaceDetections counts unsafe concurrent treatments whose failure was
 	// a cross-thread premature reclamation.
 	RaceDetections int `json:"race_detections"`
-	// EngineDivergences are engine-twin disagreements — always expected
-	// empty; any entry is an engine bug (see internal/fuzz).
-	EngineDivergences []string `json:"engine_divergences"`
 }
 
 const maxMatrixSteps = 64
@@ -605,9 +584,6 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) error {
 		}
 		machines = append(machines, cfg)
 	}
-	if _, err := engine.Lookup(req.Engine); err != nil {
-		return errf(http.StatusBadRequest, "%v", err)
-	}
 	ctx, cancel := s.runContext(r.Context(), 0)
 	defer cancel()
 	p := fuzz.Generate(req.Seed, req.Steps)
@@ -616,8 +592,6 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) error {
 		SkipAdversarial: req.SkipAdversarial,
 		MaxInstrs:       s.cfg.MaxSteps,
 		Parallel:        s.cfg.Parallel,
-		Engine:          req.Engine,
-		SkipEngineTwins: req.SkipEngineTwins,
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -635,13 +609,9 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) error {
 		PrematureReclamations: m.PrematureReclamations(),
 		TemporalDetections:    len(m.TemporalDetections),
 		RaceDetections:        m.RaceDetections(),
-		EngineDivergences:     []string{},
 	}
 	for _, v := range m.Violations {
 		resp.Violations = append(resp.Violations, v.Name()+": "+describeOutcome(v))
-	}
-	for _, d := range m.EngineDivergences {
-		resp.EngineDivergences = append(resp.EngineDivergences, d.String())
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil

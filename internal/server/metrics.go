@@ -9,7 +9,6 @@ import (
 
 	"gcsafety/internal/artifact"
 	"gcsafety/internal/cluster"
-	"gcsafety/internal/engine"
 	"gcsafety/internal/gc"
 	"gcsafety/internal/pipeline"
 )
@@ -114,29 +113,6 @@ type RunSnapshot struct {
 	BytesAllocated uint64 `json:"gc_bytes_allocated"`
 }
 
-// EngineSnapshot is the /metrics engine section: which execution
-// backends this build registers, which one an empty request selects, and
-// how many /v1/run executions each has served.
-type EngineSnapshot struct {
-	Registered []string          `json:"registered"`
-	Default    string            `json:"default"`
-	Runs       map[string]uint64 `json:"runs"`
-}
-
-// recordEngineRun counts one /v1/run execution against its (resolved)
-// engine name.
-func (m *metrics) recordEngineRun(name string) {
-	if name == "" {
-		name = engine.DefaultName
-	}
-	m.mu.Lock()
-	if m.engineRuns == nil {
-		m.engineRuns = map[string]uint64{}
-	}
-	m.engineRuns[name]++
-	m.mu.Unlock()
-}
-
 // heapMetrics accumulates /v1/heapdump activity: a snapshot count with a
 // capture-duration histogram, plus the most recent snapshot's live-set
 // gauges and the largest allocation epoch any snapshot has carried.
@@ -185,17 +161,16 @@ const panicStackLimit = 8 << 10
 
 // metrics is the server-wide registry.
 type metrics struct {
-	start      time.Time
-	mu         sync.Mutex
-	endpoints  map[string]*endpointMetrics
-	lastPanic  *PanicSnapshot // guarded by mu
-	shed       atomic.Uint64
-	drained    atomic.Uint64
-	panics     atomic.Uint64
-	inflight   atomic.Int64
-	runs       runMetrics
-	heap       heapMetrics
-	engineRuns map[string]uint64 // guarded by mu
+	start     time.Time
+	mu        sync.Mutex
+	endpoints map[string]*endpointMetrics
+	lastPanic *PanicSnapshot // guarded by mu
+	shed      atomic.Uint64
+	drained   atomic.Uint64
+	panics    atomic.Uint64
+	inflight  atomic.Int64
+	runs      runMetrics
+	heap      heapMetrics
 }
 
 // recordPanic captures a recovered handler panic into the registry.
@@ -253,16 +228,13 @@ type Snapshot struct {
 	// Pipeline reports per-stage execution counters from the stage-graph
 	// runner: calls, cache hits/misses, errors and cumulative duration for
 	// each of lex/parse/typecheck/liveness/annotate/codegen/optimize/
-	// peephole/lower.
+	// peephole.
 	Pipeline []pipeline.StageStat `json:"pipeline,omitempty"`
 	// Elision aggregates the annotator's liveness-elision outcomes across
 	// every elision-enabled annotate computation this server performed
 	// (omitted until the first one).
 	Elision *pipeline.ElisionStat `json:"elision,omitempty"`
 	Runs    RunSnapshot           `json:"runs"`
-	// Engine reports the execution backends: the registered set, the
-	// default, and per-engine /v1/run counts.
-	Engine EngineSnapshot `json:"engine"`
 	// Heap reports /v1/heapdump activity: snapshot counts, capture
 	// durations, the most recent live set, and the epoch high-water mark.
 	Heap HeapMetricsSnapshot `json:"heap"`
@@ -292,11 +264,6 @@ func (m *metrics) snapshot(cache artifact.Stats, compiles, annotations uint64) S
 			ObjectsAlloced: m.runs.objects.Load(),
 			BytesAllocated: m.runs.bytesAlloc.Load(),
 		},
-		Engine: EngineSnapshot{
-			Registered: engine.Names(),
-			Default:    engine.DefaultName,
-			Runs:       map[string]uint64{},
-		},
 		Heap: HeapMetricsSnapshot{
 			Snapshots:      m.heap.snapshots.Load(),
 			LiveObjects:    m.heap.liveObjects.Load(),
@@ -307,9 +274,6 @@ func (m *metrics) snapshot(cache artifact.Stats, compiles, annotations uint64) S
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for name, n := range m.engineRuns {
-		s.Engine.Runs[name] = n
-	}
 	s.LastPanic = m.lastPanic
 	for name, em := range m.endpoints {
 		s.Endpoints[name] = EndpointSnapshot{

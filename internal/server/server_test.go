@@ -307,6 +307,31 @@ func TestMalformedJSON(t *testing.T) {
 	}
 }
 
+// TestRemovedEngineFieldRejected pins that the request decoder rejects
+// unknown fields: a client still naming the execution engine that used to
+// be selectable gets a 400 naming the field, not a silent default run.
+func TestRemovedEngineFieldRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		url  string
+		body map[string]any
+	}{
+		{"/v1/run", map[string]any{"name": "t.c", "source": helloC, "optimize": true, "engine": "threaded"}},
+		{"/v1/matrix", map[string]any{"seed": 1, "steps": 4, "machines": []string{"ss10"}, "engine": "threaded"}},
+	} {
+		resp, data := postJSON(t, ts.URL+c.url, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400: %s", c.url, resp.StatusCode, data)
+			continue
+		}
+		var e struct{ Error string }
+		unmarshalInto(t, data, &e)
+		if !strings.Contains(e.Error, `unknown field "engine"`) {
+			t.Errorf("%s: error %q does not name the unknown field", c.url, e.Error)
+		}
+	}
+}
+
 func TestOversizedBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 1024})
 	resp, data := postJSON(t, ts.URL+"/v1/compile", CompileRequest{

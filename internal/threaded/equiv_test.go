@@ -1,105 +1,87 @@
+// Package threaded_test holds the execution core's reuse-equivalence tests.
+// The package path once held a second, closure-threaded execution engine;
+// the engine is gone and the tests that compared it with the interpreter
+// now compare the one execution core with itself across the same grids.
 package threaded_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
-	"gcsafety/internal/cc/parser"
-	"gcsafety/internal/codegen"
+	"gcsafety"
 	"gcsafety/internal/engine"
-	"gcsafety/internal/gcsafe"
+	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
-	"gcsafety/internal/peephole"
 	"gcsafety/internal/workloads"
-
-	// Importing interp registers both engines.
-	_ "gcsafety/internal/interp"
 )
 
-// The engine contract: for any program, any machine configuration and any
-// execution regime, the closure-threaded backend must produce results
-// bit-identical to the switch-dispatch interpreter — output bytes, exit
-// code, instruction and cycle counts, GC statistics, and, on failing runs,
-// the same fault at the same pc with the same message. These tests drive
-// the contract over the benchmark suite and the full hazard catalogue
-// under both benign and adversarial collection schedules.
+// The reuse contract: a compiled program is an immutable artifact that the
+// pipeline's caches hand to every later run, so running it must not change
+// it. For any program, any machine configuration and any execution regime,
+// a second run of the same cached *machine.Program — through the interp
+// facade under a live, cancellable context, the daemon's entry path — must
+// produce results bit-identical to the first run on a fresh engine.Core:
+// output bytes, exit code, instruction and cycle counts, GC statistics,
+// and, on failing runs, the same fault at the same pc with the same
+// message. These tests drive the contract over the benchmark suite and the
+// full hazard catalogue under both benign and adversarial collection
+// schedules.
 
 type buildTreatment struct {
-	name     string
-	annotate bool
-	mode     gcsafe.Mode
-	optimize bool
-	post     bool
+	name string
+	pipe gcsafety.Pipeline
 }
 
 var buildTreatments = []buildTreatment{
-	{name: "debug"},
-	{name: "opt", optimize: true},
-	{name: "opt-safe", optimize: true, annotate: true, mode: gcsafe.ModeSafe},
-	{name: "opt-safe-post", optimize: true, annotate: true, mode: gcsafe.ModeSafe, post: true},
-	{name: "checked", annotate: true, mode: gcsafe.ModeChecked},
+	{"debug", gcsafety.Pipeline{}},
+	{"opt", gcsafety.Pipeline{Optimize: true}},
+	{"opt-safe", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Safe()}},
+	{"opt-safe-post", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Safe(), Postprocess: true}},
+	{"checked", gcsafety.Pipeline{Annotate: true, AnnotateOptions: gcsafety.Checked()}},
 }
 
-func compile(t *testing.T, src string, tr buildTreatment) *machine.Program {
+func compile(t *testing.T, w workloads.Workload, tr buildTreatment) *machine.Program {
 	t.Helper()
-	cfg := machine.SPARCstation10()
-	file, err := parser.Parse("equiv.c", src)
+	prog, _, err := gcsafety.Build(w.Name+".c", w.Source, tr.pipe)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if tr.annotate {
-		if _, err := gcsafe.Annotate(file, gcsafe.Options{Mode: tr.mode}); err != nil {
-			t.Fatalf("annotate: %v", err)
-		}
-	}
-	prog, err := codegen.Compile(file, codegen.Options{Optimize: tr.optimize, Machine: cfg})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if tr.post {
-		peephole.Optimize(prog, cfg)
+		t.Fatalf("build: %v", err)
 	}
 	return prog
 }
 
-// assertEngineEquivalence runs prog under both engines and fails unless
-// every observable is identical.
+// assertEngineEquivalence runs prog twice — first directly on a fresh
+// engine.Core, then through interp.RunContext under a cancellable context —
+// and fails unless every observable is identical.
 func assertEngineEquivalence(t *testing.T, prog *machine.Program, opts engine.Options) {
 	t.Helper()
-	opts.Engine = "interp"
-	want, wantErr := engine.Run(nil, prog, opts)
-	opts.Engine = "threaded"
-	got, gotErr := engine.Run(nil, prog, opts)
+	want, wantErr := engine.NewCore(prog, opts).Run()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, gotErr := interp.RunContext(ctx, prog, opts)
 	if (wantErr == nil) != (gotErr == nil) ||
 		(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-		t.Fatalf("engines disagree on outcome:\n  interp:   %v\n  threaded: %v", wantErr, gotErr)
+		t.Fatalf("runs disagree on outcome:\n  first:  %v\n  second: %v", wantErr, gotErr)
 	}
-	if want.Output != got.Output {
-		t.Errorf("output diverges:\n  interp:   %q\n  threaded: %q", want.Output, got.Output)
-	}
-	if want.ExitCode != got.ExitCode {
-		t.Errorf("exit code diverges: interp %d, threaded %d", want.ExitCode, got.ExitCode)
+	if want.Output != got.Output || want.ExitCode != got.ExitCode {
+		t.Errorf("output diverges:\n  first:  %q exit %d\n  second: %q exit %d",
+			want.Output, want.ExitCode, got.Output, got.ExitCode)
 	}
 	if want.Instrs != got.Instrs || want.Cycles != got.Cycles {
-		t.Errorf("accounting diverges: interp instrs=%d cycles=%d, threaded instrs=%d cycles=%d",
+		t.Errorf("accounting diverges: first instrs=%d cycles=%d, second instrs=%d cycles=%d",
 			want.Instrs, want.Cycles, got.Instrs, got.Cycles)
 	}
 	if !reflect.DeepEqual(want.GCStats, got.GCStats) {
-		t.Errorf("GC statistics diverge:\n  interp:   %+v\n  threaded: %+v", want.GCStats, got.GCStats)
+		t.Errorf("GC statistics diverge:\n  first:  %+v\n  second: %+v", want.GCStats, got.GCStats)
 	}
-	if (want.Snapshot == nil) != (got.Snapshot == nil) {
-		t.Fatalf("snapshot presence diverges: interp %v, threaded %v",
-			want.Snapshot != nil, got.Snapshot != nil)
+	ws, gs := want.Snapshot, got.Snapshot
+	if (ws == nil) != (gs == nil) {
+		t.Fatalf("snapshot presence diverges: first %v, second %v", ws != nil, gs != nil)
 	}
-	if want.Snapshot != nil {
-		if want.Snapshot.Trigger != got.Snapshot.Trigger ||
-			want.Snapshot.Reason != got.Snapshot.Reason ||
-			want.Snapshot.FaultAddr != got.Snapshot.FaultAddr {
-			t.Errorf("snapshot classification diverges:\n  interp:   trigger=%q addr=%#x reason=%q\n  threaded: trigger=%q addr=%#x reason=%q",
-				want.Snapshot.Trigger, want.Snapshot.FaultAddr, want.Snapshot.Reason,
-				got.Snapshot.Trigger, got.Snapshot.FaultAddr, got.Snapshot.Reason)
-		}
+	if ws != nil && (ws.Trigger != gs.Trigger || ws.Reason != gs.Reason || ws.FaultAddr != gs.FaultAddr) {
+		t.Errorf("snapshot classification diverges:\n  first:  trigger=%q addr=%#x reason=%q\n  second: trigger=%q addr=%#x reason=%q",
+			ws.Trigger, ws.FaultAddr, ws.Reason, gs.Trigger, gs.FaultAddr, gs.Reason)
 	}
 }
 
@@ -110,33 +92,26 @@ type execRegime struct {
 }
 
 func execRegimes(w workloads.Workload) []execRegime {
-	base := engine.Options{
-		Config: machine.SPARCstation10(),
-		Input:  w.Input,
-	}
-	benign := base
+	base := engine.Options{Config: machine.SPARCstation10(), Input: w.Input}
 	validated := base
 	validated.Validate = true
-	async := base
-	async.Validate = true
+	async := validated
 	async.GCEveryInstrs = 997
-	adversarial := base
-	adversarial.Validate = true
+	adversarial := validated
 	adversarial.CollectAtEveryAlloc = true
 	temporal := base
 	temporal.Temporal = true
 	temporal.HeapProfile = true
 	regimes := []execRegime{
-		{"benign", benign},
+		{"benign", base},
 		{"validated", validated},
 		{"async", async},
 		{"adversarial", adversarial},
 		{"temporal", temporal},
 	}
 	if w.Threads > 1 {
-		mt := base
+		mt := validated
 		mt.Threads = w.Threads
-		mt.Validate = true
 		mt.CollectAtSwitch = true
 		regimes = append(regimes, execRegime{"mt-adversarial", mt})
 	}
@@ -144,13 +119,13 @@ func execRegimes(w workloads.Workload) []execRegime {
 }
 
 // TestEngineEquivalenceHazards drives every hazard workload through the
-// treatment × regime grid: the engines must agree on every violation
+// treatment × regime grid: both runs must agree on every violation
 // classification (message for message, fault address for fault address)
 // as well as on every clean run.
 func TestEngineEquivalenceHazards(t *testing.T) {
 	for _, w := range workloads.Hazards() {
 		for _, tr := range buildTreatments {
-			prog := compile(t, w.Source, tr)
+			prog := compile(t, w, tr)
 			for _, re := range execRegimes(w) {
 				t.Run(fmt.Sprintf("%s/%s/%s", w.Name, tr.name, re.name), func(t *testing.T) {
 					assertEngineEquivalence(t, prog, re.opts)
@@ -162,15 +137,12 @@ func TestEngineEquivalenceHazards(t *testing.T) {
 
 // TestEngineEquivalenceWorkloads covers the Zorn benchmark suite under the
 // benign and asynchronous-validated regimes (the adversarial schedules are
-// covered per-hazard above and by the fuzz matrix's engine twins; the full
-// suite under collect-at-every-alloc is minutes of wall clock).
+// covered per-hazard above; the full suite under collect-at-every-alloc is
+// minutes of wall clock).
 func TestEngineEquivalenceWorkloads(t *testing.T) {
 	for _, w := range workloads.All() {
-		for _, tr := range []buildTreatment{
-			{name: "opt", optimize: true},
-			{name: "opt-safe-post", optimize: true, annotate: true, mode: gcsafe.ModeSafe, post: true},
-		} {
-			prog := compile(t, w.Source, tr)
+		for _, tr := range []buildTreatment{buildTreatments[1], buildTreatments[3]} { // opt, opt-safe-post
+			prog := compile(t, w, tr)
 			for _, re := range execRegimes(w)[:3] { // benign, validated, async
 				t.Run(fmt.Sprintf("%s/%s/%s", w.Name, tr.name, re.name), func(t *testing.T) {
 					assertEngineEquivalence(t, prog, re.opts)

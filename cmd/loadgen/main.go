@@ -85,16 +85,17 @@ func universe(n int) (templates []reqT, distinctCells int) {
 			10+i)
 		name := fmt.Sprintf("gen%d.c", i)
 		annotate := modes[i%len(modes)]
+		elide := i%2 == 1
 		templates = append(templates,
-			reqT{"/v1/annotate", map[string]any{"name": name, "source": src, "mode": annotate}},
+			reqT{"/v1/annotate", map[string]any{"name": name, "source": src, "mode": annotate, "elide": elide}},
 			reqT{"/v1/check", map[string]any{"name": name, "source": src}},
 			reqT{"/v1/compile", map[string]any{
 				"name": name, "source": src, "machine": machines[i%len(machines)],
-				"annotate": annotate, "optimize": i%2 == 0,
+				"annotate": annotate, "optimize": i%2 == 0, "elide": elide,
 			}},
 			reqT{"/v1/run", map[string]any{
 				"name": name, "source": src, "machine": machines[i%len(machines)],
-				"annotate": annotate, "optimize": i%2 == 0, "gc_every": 64,
+				"annotate": annotate, "optimize": i%2 == 0, "gc_every": 64, "elide": elide,
 			}},
 		)
 	}

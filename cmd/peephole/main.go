@@ -42,16 +42,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cfg machine.Config
-	switch *machname {
-	case "ss2":
-		cfg = machine.SPARCstation2()
-	case "ss10":
-		cfg = machine.SPARCstation10()
-	case "p90":
-		cfg = machine.Pentium90()
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machname))
+	cfg, err := machine.ByName(*machname)
+	if err != nil {
+		fatal(err)
 	}
 	var input string
 	if *inFile != "" {

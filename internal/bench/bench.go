@@ -125,47 +125,53 @@ func ResetCache() {
 	cellCompiles.Store(0)
 }
 
-// cellKey digests everything that influences a cell: the workload's
-// source, input and expected output, the full treatment configuration
-// including annotator ablation options, the machine, and the version
-// fingerprint of every pipeline stage — so shipping a changed stage
-// recomputes every cell built through it.
-func cellKey(w workloads.Workload, tr Treatment, cfg machine.Config) artifact.Key {
-	opts := gcsafe.Options{}
+// options lowers the treatment to the pipeline and interpreter options
+// of one cell: the single description that both keys and runs it.
+func (tr Treatment) options(w workloads.Workload, cfg machine.Config) (pipeline.Options, interp.Options) {
+	ann := gcsafe.Options{}
 	if tr.Gcsafe != nil {
-		opts = *tr.Gcsafe
+		ann = *tr.Gcsafe
 	}
-	k := artifact.NewKey("bench-cell").
-		Str(pipeline.VersionFingerprint()).
-		Str(w.Name).
-		Str(w.Source).
-		Str(w.Input).
-		Str(w.Want).
-		Bool(tr.Annotate).
-		Bool(tr.Checked).
-		Bool(tr.Optimize).
-		Bool(tr.Post).
-		Int(int64(opts.Mode)).
-		Bool(opts.NoCopySuppression).
-		Bool(opts.NoIncDecExpansion).
-		Bool(opts.BaseHeuristic).
-		Bool(opts.CallSiteOnly).
-		Bool(opts.StrictCastWarnings).
-		Int(int64(opts.Style)).
-		Str(cfg.Name)
-	// The temporal/concurrent fields fold in only when set, so every
-	// pre-existing treatment's key stays byte-stable across this extension
-	// (no spurious cache invalidation of the classic tables).
-	if tr.Temporal || tr.Threads > 1 {
-		k = k.Bool(tr.Temporal).
-			Int(int64(tr.Threads)).
-			Int(int64(tr.SchedSeed))
+	if tr.Temporal {
+		ann.Mode = gcsafe.ModeTemporal
+	} else if tr.Checked {
+		ann.Mode = gcsafe.ModeChecked
 	}
-	// Elide likewise folds in only when set.
 	if tr.Elide {
-		k = k.Bool(true)
+		ann.Elide = true
 	}
-	return k.Sum()
+	build := pipeline.Options{
+		Annotate:        tr.Annotate,
+		AnnotateOptions: ann,
+		Optimize:        tr.Optimize,
+		Post:            tr.Post,
+		Machine:         cfg,
+	}
+	run := interp.Options{
+		Config:    cfg,
+		Input:     w.Input,
+		Temporal:  tr.Temporal,
+		Threads:   tr.Threads,
+		SchedSeed: tr.SchedSeed,
+	}
+	return build, run
+}
+
+// runKey is the pipeline's key for running w under the given options.
+// The harness never arms faults, so every run is cacheable.
+func runKey(w workloads.Workload, popts pipeline.Options, eopts interp.Options) artifact.Key {
+	k, _ := pipeline.RunKey(pipeline.BuildKey(w.Name+".c", w.Source, popts), eopts)
+	return k
+}
+
+// cellKey is a cell's cache identity: the pipeline's run key — which
+// covers the workload's name, source and input, every treatment option
+// that reaches the build or the run, the machine, and the version of
+// every stage the build walks — plus the expected output the cell is
+// checked against.
+func cellKey(w workloads.Workload, tr Treatment, cfg machine.Config) artifact.Key {
+	popts, eopts := tr.options(w, cfg)
+	return artifact.NewKey("bench-cell").Str(string(runKey(w, popts, eopts))).Str(w.Want).Sum()
 }
 
 // Measure returns one cell's measurement, computing it at most once per
@@ -191,25 +197,8 @@ func Measure(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measureme
 // (the interpreter never mutates it), so cells differing only in input
 // or expected output reuse the whole build.
 func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measurement, error) {
-	opts := gcsafe.Options{}
-	if tr.Gcsafe != nil {
-		opts = *tr.Gcsafe
-	}
-	if tr.Temporal {
-		opts.Mode = gcsafe.ModeTemporal
-	} else if tr.Checked {
-		opts.Mode = gcsafe.ModeChecked
-	}
-	if tr.Elide {
-		opts.Elide = true
-	}
-	b, err := pipe.Build(context.Background(), w.Name+".c", w.Source, pipeline.Options{
-		Annotate:        tr.Annotate,
-		AnnotateOptions: opts,
-		Optimize:        tr.Optimize,
-		Post:            tr.Post,
-		Machine:         cfg,
-	})
+	popts, eopts := tr.options(w, cfg)
+	b, err := pipe.Build(context.Background(), w.Name+".c", w.Source, popts)
 	if err != nil {
 		var se *pipeline.StageError
 		if errors.As(err, &se) {
@@ -226,13 +215,7 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 	}
 	prog := b.Prog
 	m := &Measurement{Size: prog.Size()}
-	res, err := interp.Run(prog, interp.Options{
-		Config:    cfg,
-		Input:     w.Input,
-		Temporal:  tr.Temporal,
-		Threads:   tr.Threads,
-		SchedSeed: tr.SchedSeed,
-	})
+	res, err := interp.Run(prog, eopts)
 	if err != nil {
 		if _, ok := findCheckError(err); ok {
 			m.CheckFailed = true
@@ -261,26 +244,15 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 // change allocation semantics, so the exit heap is machine-invariant;
 // it is measured once per workload, on the canonical SPARCstation 10.
 func MeasureRetained(w workloads.Workload) (uint64, error) {
-	k := artifact.NewKey("bench-retained").
-		Str(pipeline.VersionFingerprint()).
-		Str(w.Name).
-		Str(w.Source).
-		Str(w.Input).
-		Sum()
+	popts, eopts := Opt.options(w, machine.SPARCstation10())
+	eopts.HeapProfile = true
+	k := artifact.NewKey("bench-retained").Str(string(runKey(w, popts, eopts))).Sum()
 	v, _, err := cells.GetOrCompute(context.Background(), k, func() (any, int64, error) {
-		cfg := machine.SPARCstation10()
-		b, err := pipe.Build(context.Background(), w.Name+".c", w.Source, pipeline.Options{
-			Optimize: true,
-			Machine:  cfg,
-		})
+		b, err := pipe.Build(context.Background(), w.Name+".c", w.Source, popts)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s: %w", w.Name, err)
 		}
-		res, err := interp.Run(b.Prog, interp.Options{
-			Config:      cfg,
-			Input:       w.Input,
-			HeapProfile: true,
-		})
+		res, err := interp.Run(b.Prog, eopts)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s [retained]: %w", w.Name, err)
 		}

@@ -90,7 +90,7 @@ const concThreads = 4
 // Name is a compact human-readable treatment label.
 func (t Treatment) Name() string {
 	var b strings.Builder
-	b.WriteString(shortMachine(t.Machine))
+	b.WriteString(machine.ShortName(t.Machine))
 	if t.Optimize {
 		b.WriteString("/-O")
 	} else {
@@ -112,18 +112,6 @@ func (t Treatment) Name() string {
 		b.WriteString(" adv")
 	}
 	return b.String()
-}
-
-func shortMachine(cfg machine.Config) string {
-	switch cfg.Name {
-	case "SPARCstation 2":
-		return "ss2"
-	case "SPARCstation 10":
-		return "ss10"
-	case "Pentium 90":
-		return "p90"
-	}
-	return cfg.Name
 }
 
 // MustAgree reports whether the treatment is required to reproduce the

@@ -1,5 +1,7 @@
 package machine
 
+import "fmt"
+
 // Config describes one target machine. Three canned configurations stand
 // in for the paper's measurement platforms. The absolute cycle numbers are
 // nominal; only the ratios between compilation modes matter, as in the
@@ -110,4 +112,36 @@ func Pentium90() Config {
 // Configs returns the three paper machines in presentation order.
 func Configs() []Config {
 	return []Config{SPARCstation2(), SPARCstation10(), Pentium90()}
+}
+
+// paperMachines names the three paper machines by the short names every
+// command-line flag and the gcsafed wire use.
+var paperMachines = []struct {
+	short string
+	cfg   Config
+}{
+	{"ss2", SPARCstation2()},
+	{"ss10", SPARCstation10()},
+	{"p90", Pentium90()},
+}
+
+// ByName returns the paper machine with the given short name.
+func ByName(name string) (Config, error) {
+	for _, m := range paperMachines {
+		if m.short == name {
+			return m.cfg, nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown machine %q (want ss2, ss10 or p90)", name)
+}
+
+// ShortName is the inverse of ByName; a configuration that is not a paper
+// machine keeps its full name.
+func ShortName(cfg Config) string {
+	for _, m := range paperMachines {
+		if m.cfg.Name == cfg.Name {
+			return m.short
+		}
+	}
+	return cfg.Name
 }

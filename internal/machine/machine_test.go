@@ -172,3 +172,23 @@ func TestInstrSize(t *testing.T) {
 		t.Fatalf("sizeof(Instr) = %d, want 64 (fit new fields into padding)", got)
 	}
 }
+
+func TestByNameRoundTrip(t *testing.T) {
+	for _, cfg := range Configs() {
+		short := ShortName(cfg)
+		got, err := ByName(short)
+		if err != nil {
+			t.Fatalf("%s: %v", short, err)
+		}
+		if got != cfg {
+			t.Errorf("ByName(%q) = %+v, want %+v", short, got, cfg)
+		}
+	}
+	if _, err := ByName("vax"); err == nil || err.Error() != `unknown machine "vax" (want ss2, ss10 or p90)` {
+		t.Errorf("unknown machine error = %v", err)
+	}
+	custom := Config{Name: "custom"}
+	if got := ShortName(custom); got != "custom" {
+		t.Errorf("ShortName of a non-paper machine = %q, want its full name", got)
+	}
+}

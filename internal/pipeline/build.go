@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 
-	"gcsafety/internal/artifact"
 	"gcsafety/internal/cc/ast"
 	"gcsafety/internal/cc/lexer"
 	"gcsafety/internal/cc/parser"
@@ -68,58 +67,19 @@ type postprocessed struct {
 	stats peephole.Stats
 }
 
-// stageKey starts the content key of one stage: the stage's own version
-// chained onto the upstream artifact's key. Option fingerprints are
-// appended by the caller.
-func stageKey(s Stage, upstream artifact.Key) *artifact.KeyBuilder {
-	return artifact.NewKey("pipeline." + string(s)).Str(Version(s)).Str(string(upstream))
-}
-
-// annotateFields folds every annotator option into a key. Elide is folded
-// only when set, so the classic (unelided) treatments keep the keys they
-// had before the elision axis existed.
-func annotateFields(b *artifact.KeyBuilder, o gcsafe.Options) *artifact.KeyBuilder {
-	b = b.Int(int64(o.Mode)).
-		Bool(o.NoCopySuppression).
-		Bool(o.NoIncDecExpansion).
-		Bool(o.BaseHeuristic).
-		Bool(o.CallSiteOnly).
-		Bool(o.StrictCastWarnings).
-		Int(int64(o.Style))
-	if o.Elide {
-		b = b.Bool(true)
-	}
-	return b
-}
-
-// machineFields folds the full machine configuration — not just its name
-// — into a key, so ad-hoc configs with colliding names cannot share
-// artifacts.
-func machineFields(b *artifact.KeyBuilder, cfg machine.Config) *artifact.KeyBuilder {
-	return b.Str(cfg.Name).
-		Int(int64(cfg.NumRegs)).
-		Bool(cfg.TwoOperand).
-		Bool(cfg.LoadIndexed).
-		Uint(cfg.Costs.ALU).Uint(cfg.Costs.Mul).Uint(cfg.Costs.Div).
-		Uint(cfg.Costs.Load).Uint(cfg.Costs.Store).Uint(cfg.Costs.Branch).
-		Uint(cfg.Costs.CallRet).Uint(cfg.Costs.SPAdjust)
-}
-
 // frontEnd runs the treatment-independent prefix of the graph — Lex,
-// Parse, Typecheck — and returns the Typecheck artifact and its key.
-func (r *Runner) frontEnd(ctx context.Context, name, src string, rep *BuildReport) (*checked, artifact.Key, error) {
-	klex := artifact.NewKey("pipeline." + string(StageLex)).Str(Version(StageLex)).Str(src).Sum()
-	v, err := r.run(ctx, StageLex, klex, rep, func() (any, int64, error) {
+// Parse, Typecheck — and returns the Typecheck artifact.
+func (r *Runner) frontEnd(ctx context.Context, name, src string, k buildKeys, rep *BuildReport) (*checked, error) {
+	v, err := r.run(ctx, StageLex, k.lex, rep, func() (any, int64, error) {
 		s := lexer.ScanAll(src)
 		return s, int64(len(s.Tokens))*48 + 64, nil
 	})
 	if err != nil {
-		return nil, "", &StageError{Stage: StageLex, Err: err}
+		return nil, &StageError{Stage: StageLex, Err: err}
 	}
 	scan := v.(*lexer.Scan)
 
-	kparse := stageKey(StageParse, klex).Str(name).Sum()
-	v, err = r.run(ctx, StageParse, kparse, rep, func() (any, int64, error) {
+	v, err = r.run(ctx, StageParse, k.parse, rep, func() (any, int64, error) {
 		f, err := parser.ParseTokens(name, src, scan.Replay())
 		if err != nil {
 			return nil, 0, err
@@ -127,12 +87,11 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, rep *BuildRepor
 		return f, int64(len(src))*6 + 256, nil
 	})
 	if err != nil {
-		return nil, "", &StageError{Stage: StageParse, Err: err}
+		return nil, &StageError{Stage: StageParse, Err: err}
 	}
 	file := v.(*ast.File)
 
-	kcheck := stageKey(StageTypecheck, kparse).Sum()
-	v, err = r.run(ctx, StageTypecheck, kcheck, rep, func() (any, int64, error) {
+	v, err = r.run(ctx, StageTypecheck, k.typecheck, rep, func() (any, int64, error) {
 		ck, err := verify(file)
 		if err != nil {
 			return nil, 0, err
@@ -140,9 +99,9 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, rep *BuildRepor
 		return ck, 128, nil
 	})
 	if err != nil {
-		return nil, "", &StageError{Stage: StageTypecheck, Err: err}
+		return nil, &StageError{Stage: StageTypecheck, Err: err}
 	}
-	return v.(*checked), kcheck, nil
+	return v.(*checked), nil
 }
 
 // liveness runs the Liveness stage on a checked front end: the elision
@@ -150,37 +109,31 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, rep *BuildRepor
 // reads the shared AST, so no clone is needed; the facts artifact is
 // itself immutable and position-keyed, so it applies equally to the
 // Annotate stage's deep clone.
-func (r *Runner) liveness(ctx context.Context, ck *checked, kcheck artifact.Key, rep *BuildReport) (*liveness.Facts, artifact.Key, error) {
-	klive := stageKey(StageLiveness, kcheck).Sum()
-	v, err := r.run(ctx, StageLiveness, klive, rep, func() (any, int64, error) {
+func (r *Runner) liveness(ctx context.Context, ck *checked, k buildKeys, rep *BuildReport) (*liveness.Facts, error) {
+	v, err := r.run(ctx, StageLiveness, k.liveness, rep, func() (any, int64, error) {
 		facts := liveness.Analyze(ck.file)
 		return facts, int64(facts.Units())*96 + 256, nil
 	})
 	if err != nil {
-		return nil, "", &StageError{Stage: StageLiveness, Err: err}
+		return nil, &StageError{Stage: StageLiveness, Err: err}
 	}
-	return v.(*liveness.Facts), klive, nil
+	return v.(*liveness.Facts), nil
 }
 
 // annotate runs the Annotate stage on a checked front end. The compute
 // deep-clones the shared AST before the annotator mutates it, so the
 // Parse/Typecheck artifacts stay pristine for other treatments. Under
-// opts.Elide the stage first walks through Liveness, and the annotate key
-// chains off the liveness key so the artifact depends on both stage
-// versions.
-func (r *Runner) annotate(ctx context.Context, ck *checked, kcheck artifact.Key, opts gcsafe.Options, rep *BuildReport) (*annotated, artifact.Key, error) {
-	upstream := kcheck
+// opts.Elide the stage first walks through Liveness.
+func (r *Runner) annotate(ctx context.Context, ck *checked, k buildKeys, opts gcsafe.Options, rep *BuildReport) (*annotated, error) {
 	var facts *liveness.Facts
 	if opts.Elide {
-		f, klive, err := r.liveness(ctx, ck, kcheck, rep)
+		f, err := r.liveness(ctx, ck, k, rep)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		facts = f
-		upstream = klive
 	}
-	kann := annotateFields(stageKey(StageAnnotate, upstream), opts).Sum()
-	v, err := r.run(ctx, StageAnnotate, kann, rep, func() (any, int64, error) {
+	v, err := r.run(ctx, StageAnnotate, k.annotate, rep, func() (any, int64, error) {
 		clone := ck.file.Clone()
 		res, err := gcsafe.AnnotateWithFacts(clone, opts, facts)
 		if err != nil {
@@ -195,7 +148,7 @@ func (r *Runner) annotate(ctx context.Context, ck *checked, kcheck artifact.Key,
 		return &annotated{file: clone, res: res}, int64(len(res.Output))*8 + 512, nil
 	})
 	if err != nil {
-		return nil, "", &StageError{Stage: StageAnnotate, Err: err}
+		return nil, &StageError{Stage: StageAnnotate, Err: err}
 	}
 	a := v.(*annotated)
 	if opts.Elide && rep != nil {
@@ -208,18 +161,19 @@ func (r *Runner) annotate(ctx context.Context, ck *checked, kcheck artifact.Key,
 		st.Kept = st.Considered - st.Elided
 		rep.Elision = &st
 	}
-	return a, kann, nil
+	return a, nil
 }
 
 // Annotate runs the graph up to and including the Annotate stage — the
 // C-to-C preprocessor as a cached pipeline.
 func (r *Runner) Annotate(ctx context.Context, name, src string, opts gcsafe.Options) (*gcsafe.Result, *BuildReport, error) {
 	rep := &BuildReport{}
-	ck, kcheck, err := r.frontEnd(ctx, name, src, rep)
+	k := stageKeys(name, src, Options{Annotate: true, AnnotateOptions: opts})
+	ck, err := r.frontEnd(ctx, name, src, k, rep)
 	if err != nil {
 		return nil, rep, err
 	}
-	a, _, err := r.annotate(ctx, ck, kcheck, opts, rep)
+	a, err := r.annotate(ctx, ck, k, opts, rep)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -233,20 +187,20 @@ func (r *Runner) Annotate(ctx context.Context, name, src string, opts gcsafe.Opt
 func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Result, error) {
 	rep := &BuildReport{}
 	res := &Result{Report: rep}
+	k := stageKeys(name, src, opts)
 
-	ck, kfront, err := r.frontEnd(ctx, name, src, rep)
+	ck, err := r.frontEnd(ctx, name, src, k, rep)
 	if err != nil {
 		return nil, err
 	}
 	file := ck.file
 	if opts.Annotate {
-		a, kann, err := r.annotate(ctx, ck, kfront, opts.AnnotateOptions, rep)
+		a, err := r.annotate(ctx, ck, k, opts.AnnotateOptions, rep)
 		if err != nil {
 			return nil, err
 		}
 		file = a.file
 		res.Annotate = a.res
-		kfront = kann
 	}
 	res.File = file
 
@@ -256,11 +210,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		DisableReassociation: opts.DisableReassociation,
 		DisableLoadFolding:   opts.DisableLoadFolding,
 	}
-	kcg := machineFields(stageKey(StageCodegen, kfront).
-		Bool(opts.Optimize).
-		Bool(opts.DisableReassociation).
-		Bool(opts.DisableLoadFolding), opts.Machine).Sum()
-	v, err := r.run(ctx, StageCodegen, kcg, rep, func() (any, int64, error) {
+	v, err := r.run(ctx, StageCodegen, k.codegen, rep, func() (any, int64, error) {
 		ir, err := codegen.Gen(file, cgOpts)
 		if err != nil {
 			return nil, 0, err
@@ -276,8 +226,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 	}
 	ir := v.(*codegen.IR)
 
-	kopt := stageKey(StageOptimize, kcg).Sum()
-	v, err = r.run(ctx, StageOptimize, kopt, rep, func() (any, int64, error) {
+	v, err = r.run(ctx, StageOptimize, k.optimize, rep, func() (any, int64, error) {
 		prog := codegen.Backend(ir)
 		return prog, int64(prog.Size())*40 + int64(len(prog.Data)) + 256, nil
 	})
@@ -287,11 +236,8 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 	res.Prog = v.(*machine.Program)
 
 	if opts.Post {
-		// The machine config feeding the postprocessor is already part of
-		// kopt (via the Codegen key), so the chain alone keys this stage.
-		kpeep := stageKey(StagePeephole, kopt).Sum()
 		prog := res.Prog
-		v, err = r.run(ctx, StagePeephole, kpeep, rep, func() (any, int64, error) {
+		v, err = r.run(ctx, StagePeephole, k.peephole, rep, func() (any, int64, error) {
 			q := prog.Clone()
 			st := peephole.Optimize(q, opts.Machine)
 			return &postprocessed{prog: q, stats: st}, int64(q.Size())*40 + int64(len(q.Data)) + 256, nil

@@ -298,21 +298,6 @@ func TestConcurrentBuildsSingleflight(t *testing.T) {
 	}
 }
 
-// TestVersionFingerprintTracksBumps: the fingerprint callers embed in
-// their own keys changes with any stage version.
-func TestVersionFingerprintTracksBumps(t *testing.T) {
-	before := VersionFingerprint()
-	restore := SetVersionForTest(StagePeephole, "v99")
-	changed := VersionFingerprint()
-	restore()
-	if before == changed {
-		t.Fatal("fingerprint did not change across a version bump")
-	}
-	if VersionFingerprint() != before {
-		t.Fatal("fingerprint not restored")
-	}
-}
-
 // TestWireRoundTrip: the persistable stage artifacts survive an
 // encode/decode cycle through the codec registry.
 func TestWireRoundTrip(t *testing.T) {

@@ -59,7 +59,16 @@ type AnnotateResponse struct {
 	CacheHit   bool     `json:"cache_hit"`
 }
 
+// defaultName names the translation unit of a request that names none.
+const defaultName = "input.c"
+
+// options validates the request and lowers it to annotator options. It
+// defaults the name first, so afterwards the request is the complete
+// recipe of its artifact: the peer it is sent to derives the same key.
 func (req *AnnotateRequest) options() (gcsafe.Options, error) {
+	if req.Name == "" {
+		req.Name = defaultName
+	}
 	opts := gcsafe.Options{
 		NoCopySuppression:  req.NoCopySuppression,
 		NoIncDecExpansion:  req.NoIncDecExpansion,
@@ -87,22 +96,10 @@ func (req *AnnotateRequest) options() (gcsafe.Options, error) {
 	return opts, nil
 }
 
-func annotateKey(src string, opts gcsafe.Options) artifact.Key {
-	k := artifact.NewKey("annotate").
-		Str(src).
-		Int(int64(opts.Mode)).
-		Bool(opts.NoCopySuppression).
-		Bool(opts.NoIncDecExpansion).
-		Bool(opts.BaseHeuristic).
-		Bool(opts.CallSiteOnly).
-		Bool(opts.StrictCastWarnings).
-		Int(int64(opts.Style))
-	// Elide folds in only when set, so pre-elision keys stay byte-stable
-	// (warm disk tiers keep serving the classic treatments).
-	if opts.Elide {
-		k = k.Bool(true)
-	}
-	return k.Sum()
+// key is the request's whole-product cache key: the pipeline's Annotate
+// stage key under the annotate kind tag.
+func (req *AnnotateRequest) key(opts gcsafe.Options) artifact.Key {
+	return artifact.NewKey("annotate").Str(string(pipeline.AnnotateKey(req.Name, req.Source, opts))).Sum()
 }
 
 // annotated is the cached product of one annotator execution. size is
@@ -144,29 +141,26 @@ func stageBuildError(err error) error {
 	}
 }
 
-// annotate runs the preprocessor through the artifact cache. The outer
-// whole-product entry keyed by annotateKey is what the disk tier
-// persists and the stampede guarantee counts; beneath it the stage
-// runner shares Lex/Parse/Typecheck with every other endpoint that saw
-// the same source.
-func (s *Server) annotate(ctx context.Context, name, src string, opts gcsafe.Options) (*annotated, bool, error) {
-	if name == "" {
-		name = "input.c"
-	}
-	key := annotateKey(src, opts)
+// annotate runs the preprocessor through the artifact cache; req has
+// passed options, which returned opts. The outer whole-product entry is
+// what the disk tier persists and the stampede guarantee counts; beneath
+// it the stage runner shares Lex/Parse/Typecheck with every other
+// endpoint that saw the same source.
+func (s *Server) annotate(ctx context.Context, req *AnnotateRequest, opts gcsafe.Options) (*annotated, bool, error) {
+	key := req.key(opts)
 	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, int64, error) {
 		// Local memory and disk both missed. Before computing, try the
 		// cluster rung of the ladder: the key's owning peer get-or-computes
 		// it once for the whole cluster. Any peer failure falls through to
 		// a local compute — availability over dedup.
-		if pv, psize, ok := s.peerFetch(ctx, key, familyAnnotate, annotateRecipe(name, src, opts)); ok {
+		if pv, psize, ok := s.peerFetch(ctx, key, familyAnnotate, req); ok {
 			return pv, psize, nil
 		}
 		// annotations counts true local annotator executions only (not
 		// artifacts fetched from peers), so summing the counter across a
 		// cluster measures how many times the work was really done.
 		s.annotations.Add(1)
-		res, _, err := s.pipeline.Annotate(ctx, name, src, opts)
+		res, _, err := s.pipeline.Annotate(ctx, req.Name, req.Source, opts)
 		if err != nil {
 			var se *pipeline.StageError
 			if errors.As(err, &se) {
@@ -188,7 +182,7 @@ func (s *Server) annotate(ctx context.Context, name, src string, opts gcsafe.Opt
 			suppressed: res.Suppressed,
 			temps:      res.Temps,
 			elided:     res.Elided,
-			size:       int64(len(src) + len(res.Output) + 256),
+			size:       int64(len(req.Source) + len(res.Output) + 256),
 		}
 		for _, w := range res.Warnings {
 			a.warnings = append(a.warnings, w.String())
@@ -213,7 +207,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	a, hit, err := s.annotate(r.Context(), req.Name, req.Source, opts)
+	a, hit, err := s.annotate(r.Context(), &req, opts)
 	if err != nil {
 		return err
 	}
@@ -250,8 +244,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	a, hit, err := s.annotate(r.Context(), req.Name, req.Source,
-		gcsafe.Options{StrictCastWarnings: true})
+	ar := AnnotateRequest{Name: req.Name, Source: req.Source, StrictCasts: true}
+	opts, err := ar.options()
+	if err != nil {
+		return err
+	}
+	a, hit, err := s.annotate(r.Context(), &ar, opts)
 	if err != nil {
 		return err
 	}
@@ -300,68 +298,59 @@ type compiled struct {
 	accounted int64
 }
 
-func compileKey(src string, ann fuzz.Annotation, optimize, post, elide bool, cfg machine.Config) artifact.Key {
-	k := artifact.NewKey("compile").
-		Str(src).
-		Int(int64(ann)).
-		Bool(optimize).
-		Bool(post).
-		Str(cfg.Name)
-	// Elide folds in only when set (key stability for the classic cells).
-	if elide {
-		k = k.Bool(true)
+// options validates the request and lowers it to pipeline options,
+// defaulting the name like AnnotateRequest.options.
+func (req *CompileRequest) options() (pipeline.Options, error) {
+	if req.Name == "" {
+		req.Name = defaultName
 	}
-	return k.Sum()
-}
-
-func annotationByName(name string) (fuzz.Annotation, error) {
-	switch name {
+	cfg, err := machineByName(req.Machine)
+	if err != nil {
+		return pipeline.Options{}, err
+	}
+	opts := pipeline.Options{Optimize: req.Optimize, Post: req.Post, Machine: cfg}
+	opts.AnnotateOptions.Elide = req.Elide
+	switch req.Annotate {
 	case "", "none":
-		return fuzz.AnnotateNone, nil
 	case "safe":
-		return fuzz.AnnotateSafe, nil
+		opts.Annotate = true
 	case "checked":
-		return fuzz.AnnotateChecked, nil
+		opts.Annotate = true
+		opts.AnnotateOptions.Mode = gcsafe.ModeChecked
 	case "temporal":
-		return fuzz.AnnotateTemporal, nil
+		opts.Annotate = true
+		opts.AnnotateOptions.Mode = gcsafe.ModeTemporal
+	default:
+		return opts, errf(http.StatusBadRequest, "unknown annotate %q (want none, safe, checked or temporal)", req.Annotate)
 	}
-	return 0, errf(http.StatusBadRequest, "unknown annotate %q (want none, safe, checked or temporal)", name)
+	return opts, nil
 }
 
-// compile builds one treatment cell through the artifact cache: the
-// whole-product entry keyed by compileKey preserves the pre-pipeline
-// stampede guarantee (one compile per distinct cell under arbitrary
-// concurrency) and the disk-tier restart story, while the stage runner
-// beneath it shares the front end and intermediate artifacts across
-// cells that differ only in annotation, machine, opt level or peephole
-// flag.
-func (s *Server) compile(ctx context.Context, name, src string, ann fuzz.Annotation, optimize, post, elide bool, cfg machine.Config) (*compiled, bool, error) {
-	if name == "" {
-		name = "input.c"
-	}
-	key := compileKey(src, ann, optimize, post, elide, cfg)
+// key is the request's whole-product cache key: the pipeline's build key
+// under the compile kind tag.
+func (req *CompileRequest) key(opts pipeline.Options) artifact.Key {
+	return artifact.NewKey("compile").Str(string(pipeline.BuildKey(req.Name, req.Source, opts))).Sum()
+}
+
+// compile builds one treatment cell through the artifact cache; req has
+// passed options, which returned opts. The whole-product entry preserves
+// the pre-pipeline stampede guarantee (one compile per distinct cell
+// under arbitrary concurrency) and the disk-tier restart story, while
+// the stage runner beneath it shares the front end and intermediate
+// artifacts across cells that differ only in annotation, machine, opt
+// level or peephole flag.
+func (s *Server) compile(ctx context.Context, req *CompileRequest, opts pipeline.Options) (*compiled, bool, error) {
+	key := req.key(opts)
 	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, int64, error) {
 		// The cluster rung: ask the owning peer before running codegen
 		// locally (see annotate for the ladder rationale).
-		if pv, psize, ok := s.peerFetch(ctx, key, familyCompile, compileRecipe(name, src, ann, optimize, post, elide, cfg)); ok {
+		if pv, psize, ok := s.peerFetch(ctx, key, familyCompile, req); ok {
 			return pv, psize, nil
 		}
 		// compiles counts true local compiler executions only — the
 		// cluster-wide dedup gate is stated in terms of this counter.
 		s.compiles.Add(1)
-		opts := pipeline.Options{Optimize: optimize, Post: post, Machine: cfg}
-		opts.AnnotateOptions.Elide = elide
-		switch ann {
-		case fuzz.AnnotateSafe:
-			opts.Annotate = true
-		case fuzz.AnnotateChecked:
-			opts.Annotate = true
-			opts.AnnotateOptions.Mode = gcsafe.ModeChecked
-		case fuzz.AnnotateTemporal:
-			opts.Annotate = true
-			opts.AnnotateOptions.Mode = gcsafe.ModeTemporal
-		}
-		res, err := s.pipeline.Build(ctx, name, src, opts)
+		res, err := s.pipeline.Build(ctx, req.Name, req.Source, opts)
 		if err != nil {
 			return nil, 0, stageBuildError(err)
 		}
@@ -384,19 +373,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	cfg, err := machineByName(req.Machine)
+	opts, err := req.options()
 	if err != nil {
 		return err
 	}
-	ann, err := annotationByName(req.Annotate)
+	c, hit, err := s.compile(r.Context(), &req, opts)
 	if err != nil {
 		return err
 	}
-	c, hit, err := s.compile(r.Context(), req.Name, req.Source, ann, req.Optimize, req.Post, req.Elide, cfg)
-	if err != nil {
-		return err
-	}
-	resp := CompileResponse{Size: c.size, Machine: cfg.Name, CacheHit: hit}
+	resp := CompileResponse{Size: c.size, Machine: opts.Machine.Name, CacheHit: hit}
 	if req.Listing {
 		resp.Listing = c.prog.Listing()
 	}
@@ -451,33 +436,17 @@ type RunResponse struct {
 	CacheHit    bool   `json:"cache_hit"`
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
-	var req RunRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	cfg, err := machineByName(req.Machine)
-	if err != nil {
-		return err
-	}
-	ann, err := annotationByName(req.Annotate)
-	if err != nil {
-		return err
-	}
-	c, hit, err := s.compile(r.Context(), req.Name, req.Source, ann, req.Optimize, req.Post, req.Elide, cfg)
-	if err != nil {
-		return err
-	}
+// execOptions validates the request's execution knobs and lowers them
+// to interpreter options on cfg, the step budget clamped to maxSteps:
+// the one lowering /v1/run and /v1/heapdump share.
+func (req *RunRequest) execOptions(cfg machine.Config, maxSteps uint64, faults *faultinject.Set) (interp.Options, error) {
 	if req.Threads < 0 || req.Threads > maxRunThreads {
-		return errf(http.StatusBadRequest, "threads %d out of range (max %d)", req.Threads, maxRunThreads)
+		return interp.Options{}, errf(http.StatusBadRequest, "threads %d out of range (max %d)", req.Threads, maxRunThreads)
 	}
-	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
-	defer cancel()
-	steps := s.cfg.MaxSteps
-	if req.MaxSteps > 0 && req.MaxSteps < steps {
-		steps = req.MaxSteps
+	if req.MaxSteps > 0 && req.MaxSteps < maxSteps {
+		maxSteps = req.MaxSteps
 	}
-	res, runErr := interp.RunContext(ctx, c.prog, interp.Options{
+	return interp.Options{
 		Config:              cfg,
 		Input:               req.Input,
 		GCEveryInstrs:       req.GCEvery,
@@ -488,9 +457,33 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		SchedSeed:           req.SchedSeed,
 		CollectAtSwitch:     req.CollectAtSwitch,
 		BaseOnlyHeap:        req.BaseOnly,
-		MaxInstrs:           steps,
-		Faults:              faultinject.FromContext(r.Context()),
-	})
+		MaxInstrs:           maxSteps,
+		Faults:              faults,
+	}, nil
+}
+
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
+	var req RunRequest
+	if err := decode(r, &req); err != nil {
+		return err
+	}
+	opts, err := req.options()
+	if err != nil {
+		return err
+	}
+	// Validate the whole request before compiling: an invalid run must not
+	// compile and cache a program.
+	eopts, err := req.execOptions(opts.Machine, s.cfg.MaxSteps, faultinject.FromContext(r.Context()))
+	if err != nil {
+		return err
+	}
+	c, hit, err := s.compile(r.Context(), &req.CompileRequest, opts)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
+	defer cancel()
+	res, runErr := interp.RunContext(ctx, c.prog, eopts)
 	if runErr != nil && (errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)) {
 		return runErr
 	}

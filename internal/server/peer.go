@@ -7,9 +7,6 @@ import (
 
 	"gcsafety/internal/artifact"
 	"gcsafety/internal/cluster"
-	"gcsafety/internal/fuzz"
-	"gcsafety/internal/gcsafe"
-	"gcsafety/internal/machine"
 )
 
 // The peer protocol: how a clustered gcsafed asks an artifact's owning
@@ -43,74 +40,6 @@ func noForward(ctx context.Context) context.Context {
 func forwardingAllowed(ctx context.Context) bool {
 	v, _ := ctx.Value(noForwardKey{}).(bool)
 	return !v
-}
-
-// machineWireName is the inverse of machineByName: recipes travel between
-// peers in the public wire vocabulary.
-func machineWireName(cfg machine.Config) string {
-	switch cfg.Name {
-	case machine.SPARCstation2().Name:
-		return "ss2"
-	case machine.Pentium90().Name:
-		return "p90"
-	default:
-		return "ss10"
-	}
-}
-
-// annotationWireName is the inverse of annotationByName.
-func annotationWireName(ann fuzz.Annotation) string {
-	switch ann {
-	case fuzz.AnnotateSafe:
-		return "safe"
-	case fuzz.AnnotateChecked:
-		return "checked"
-	case fuzz.AnnotateTemporal:
-		return "temporal"
-	default:
-		return "none"
-	}
-}
-
-// annotateRecipe reconstructs the public request that produces
-// (name, src, opts) — the inverse of AnnotateRequest.options, so the
-// owner recomputes exactly the same artifact key.
-func annotateRecipe(name, src string, opts gcsafe.Options) *AnnotateRequest {
-	req := &AnnotateRequest{
-		Name:              name,
-		Source:            src,
-		NoCopySuppression: opts.NoCopySuppression,
-		NoIncDecExpansion: opts.NoIncDecExpansion,
-		BaseHeuristic:     opts.BaseHeuristic,
-		CallSiteOnly:      opts.CallSiteOnly,
-		StrictCasts:       opts.StrictCastWarnings,
-	}
-	switch opts.Mode {
-	case gcsafe.ModeChecked:
-		req.Mode = "checked"
-	case gcsafe.ModeTemporal:
-		req.Mode = "temporal"
-	default:
-		req.Mode = "safe"
-	}
-	if opts.Style == gcsafe.EmitAsm {
-		req.Style = "asm"
-	} else {
-		req.Style = "macro"
-	}
-	return req
-}
-
-func compileRecipe(name, src string, ann fuzz.Annotation, optimize, post, elide bool, cfg machine.Config) *CompileRequest {
-	return &CompileRequest{
-		Name:     name,
-		Source:   src,
-		Machine:  machineWireName(cfg),
-		Annotate: annotationWireName(ann),
-		Optimize: optimize,
-		Post:     post,
-		Elide:    elide,
-	}
 }
 
 // peerFetch tries the owning-peer rung of the ladder: resolve the owner
@@ -188,11 +117,10 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return err
 		}
-		key = annotateKey(ar.Source, opts)
-		if string(key) != req.Key {
+		if key = ar.key(opts); string(key) != req.Key {
 			return errf(http.StatusBadRequest, "recipe hashes to %s, request says %s", key, req.Key)
 		}
-		a, h, err := s.annotate(ctx, ar.Name, ar.Source, opts)
+		a, h, err := s.annotate(ctx, &ar, opts)
 		if err != nil {
 			return err
 		}
@@ -202,19 +130,14 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) error {
 		if err := json.Unmarshal(req.Recipe, &cr); err != nil {
 			return errf(http.StatusBadRequest, "bad compile recipe: %v", err)
 		}
-		cfg, err := machineByName(cr.Machine)
+		opts, err := cr.options()
 		if err != nil {
 			return err
 		}
-		ann, err := annotationByName(cr.Annotate)
-		if err != nil {
-			return err
-		}
-		key = compileKey(cr.Source, ann, cr.Optimize, cr.Post, cr.Elide, cfg)
-		if string(key) != req.Key {
+		if key = cr.key(opts); string(key) != req.Key {
 			return errf(http.StatusBadRequest, "recipe hashes to %s, request says %s", key, req.Key)
 		}
-		c, h, err := s.compile(ctx, cr.Name, cr.Source, ann, cr.Optimize, cr.Post, cr.Elide, cfg)
+		c, h, err := s.compile(ctx, &cr, opts)
 		if err != nil {
 			return err
 		}

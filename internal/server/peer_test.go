@@ -13,7 +13,6 @@ import (
 
 	"gcsafety/internal/artifact"
 	"gcsafety/internal/cluster"
-	"gcsafety/internal/gcsafe"
 )
 
 // peerNode is one member of an in-process cluster: a real Server behind a
@@ -99,13 +98,14 @@ func ownerOf(t *testing.T, nodes []*peerNode, key artifact.Key) int {
 // node owns.
 func compileSrcOwnedBy(t *testing.T, nodes []*peerNode, want int) (string, artifact.Key) {
 	t.Helper()
-	cfg, err := machineByName("")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 1000; i++ {
 		src := fmt.Sprintf("int main() { return %d; }", i)
-		key := compileKey(src, 0, false, false, false, cfg)
+		req := &CompileRequest{Source: src}
+		opts, err := req.options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := req.key(opts)
 		if ownerOf(t, nodes, key) == want {
 			return src, key
 		}
@@ -256,7 +256,12 @@ func TestPeerPutSeedsOwnerCache(t *testing.T) {
 	)
 	for i := 0; i < 1000; i++ {
 		s := fmt.Sprintf("int f() { return %d; }", i)
-		k := annotateKey(s, gcsafe.Options{})
+		ar := &AnnotateRequest{Source: s}
+		opts, err := ar.options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := ar.key(opts)
 		if ownerOf(t, nodes, k) == 0 {
 			src, key = s, k
 			break

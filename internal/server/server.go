@@ -11,10 +11,12 @@
 //     with a queue-depth limit that sheds excess load with 429s instead of
 //     letting latency collapse;
 //   - annotation and compilation results land in a content-addressed
-//     artifact cache (internal/artifact) keyed by SHA-256 of (source,
-//     annotation options, machine, opt level, peephole flag), so identical
-//     sources are annotated/compiled exactly once under arbitrary
-//     concurrency and repeated safe-mode builds are near-free.
+//     artifact cache (internal/artifact) under a kind tag wrapped around
+//     the key the pipeline derives (pipeline.AnnotateKey, BuildKey,
+//     RunKey), which covers the name, source, every option and every
+//     stage version, so identical requests are annotated/compiled exactly
+//     once under arbitrary concurrency and repeated safe-mode builds are
+//     near-free.
 //
 // Observability is JSON counters at /metrics: per-endpoint request counts
 // and latency histograms, cache hits/misses/evictions, shed requests, and
@@ -491,15 +493,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// machineByName maps the wire names to machine configurations.
+// machineByName maps a wire machine name to its configuration; the wire
+// defaults to ss10.
 func machineByName(name string) (machine.Config, error) {
-	switch name {
-	case "", "ss10":
-		return machine.SPARCstation10(), nil
-	case "ss2":
-		return machine.SPARCstation2(), nil
-	case "p90":
-		return machine.Pentium90(), nil
+	if name == "" {
+		name = "ss10"
 	}
-	return machine.Config{}, errf(http.StatusBadRequest, "unknown machine %q (want ss2, ss10 or p90)", name)
+	cfg, err := machine.ByName(name)
+	if err != nil {
+		return cfg, errf(http.StatusBadRequest, "%v", err)
+	}
+	return cfg, nil
 }

@@ -3,7 +3,10 @@
 #   make check        the full pre-merge gate: gofmt, vet, build, tests under
 #                     the race detector, the full (non-short) test suite, a
 #                     10-second native-fuzzing smoke run per fuzz target, and
-#                     the gcsafed serve-smoke and chaos-smoke runs
+#                     the pipeline, elision, serve, chaos, heapdump and
+#                     cluster smoke gates
+#   make vet          go vet over the module and over perfbench/, the
+#                     benchmark's own module, which ./... does not reach
 #   make test         tier-1: exactly what CI runs (see ROADMAP.md)
 #   make fuzz-smoke   just the fuzzing smoke runs
 #   make fuzz         a longer local fuzzing session (5 minutes per target)
@@ -13,14 +16,6 @@
 #                     plus the kill -9 warm-cache-recovery test
 #   make chaos        a heavier local chaos run (more requests, live daemon)
 #   make serve        run the daemon locally on the default port
-#   make bench        run the full benchmark suite and record it as
-#                     BENCH_PR10.json at the repo root (benchdiff JSON; gate
-#                     future changes with `make bench-compare`)
-#   make bench-compare  diff the newest BENCH_*.json against the previous
-#                     one with benchdiff (exits 1 on a >10% regression)
-#   make bench-smoke  one-iteration benchmark pass piped through benchdiff
-#                     -parse and compared against itself: proves the
-#                     benchmarks run and the JSON round-trips
 #   make pipeline-smoke  build one workload through the stage graph twice
 #                     and assert the second build is 100% stage-cache hits
 #   make elision-smoke  the liveness-elision gate: warm elided rebuilds are
@@ -41,9 +36,9 @@ GO ?= go
 FUZZPKG := ./internal/fuzz
 FUZZTARGETS := FuzzDifferential FuzzParserRoundtrip FuzzFaultInjection FuzzTemporalDifferential
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve pipeline-smoke elision-smoke heapdump-smoke cluster-smoke
 
-check: fmt-check vet build race test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
+check: fmt-check vet build race test fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
 
 fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -52,6 +47,7 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 build:
 	$(GO) build ./...
@@ -90,46 +86,6 @@ chaos-smoke:
 
 chaos:
 	$(GO) run ./cmd/gcsafed -chaos -chaos-requests 512
-
-# The benchmark record: every benchmark run 5 times at a 100ms budget,
-# captured as benchdiff JSON at the repo root. 100ms gives sub-millisecond
-# benchmarks hundreds of iterations (a single 1x observation of a 300µs
-# benchmark swings ±30% on identical code on this shared/steal-prone host)
-# while the ~1s table sweeps still run one iteration. benchdiff -parse then
-# collapses the -count repeats to the per-metric minimum — the fastest
-# repeat is the least disturbed one, and the cold-cache first pass (which
-# pays the workload compiles) is discarded with it. Compare a working tree
-# against the previous record with: make bench && make bench-compare
-BENCHOUT ?= BENCH_PR10.json
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 100ms -count 5 -timeout 30m . | $(GO) run ./cmd/benchdiff -parse > $(BENCHOUT)
-	@echo "wrote $(BENCHOUT)"
-
-# bench-compare gates the newest benchmark record against the one before
-# it: the two most recent BENCH_*.json by modification time. Needs at
-# least two records (run `make bench` after a change to produce the new
-# one). Records are host-day-relative: this container's speed drifts
-# more than the 10% gate between days (measured in EXPERIMENTS.md "The
-# PR 10 record and cross-day host drift"), so when the gate fails,
-# re-record the previous commit in a worktree on the same day and diff
-# both records against that — drift moves both trees, a real regression
-# moves only yours.
-bench-compare:
-	@set -- $$(ls -t BENCH_*.json 2>/dev/null); \
-	if [ $$# -lt 2 ]; then \
-		echo "bench-compare: need two BENCH_*.json records, have $$#"; exit 1; \
-	fi; \
-	new=$$1; old=$$2; \
-	echo "benchdiff $$old $$new"; \
-	$(GO) run ./cmd/benchdiff $$old $$new
-
-# bench-smoke keeps the benchmark suite and the benchdiff pipeline honest
-# without paying for a real measurement: one iteration of everything, parsed
-# to JSON, diffed against itself (identity must pass the regression gate).
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -count 1 . | $(GO) run ./cmd/benchdiff -parse > /tmp/bench-smoke.json
-	$(GO) run ./cmd/benchdiff /tmp/bench-smoke.json /tmp/bench-smoke.json
-	@rm -f /tmp/bench-smoke.json
 
 # The stage-graph gate: a warm rebuild of a workload must be served
 # entirely from the per-stage artifact cache (TestPipelineSmokeWarmBuild

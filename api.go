@@ -114,7 +114,8 @@ type Pipeline struct {
 	Postprocess bool
 	// Machine is the target configuration (default SPARCstation 10).
 	Machine *machine.Config
-	// Exec configures execution (entry point, GC policy, input...).
+	// Exec configures execution (entry point, GC policy, input...). Its
+	// Config is always the build machine; Run rejects a different one.
 	Exec interp.Options
 }
 
@@ -218,13 +219,16 @@ func Run(name, src string, p Pipeline) (*Result, error) {
 // deadline or cancellation bounds the whole pipeline — the robustness
 // contract the gcsafed daemon depends on to survive adversarial inputs.
 func RunContext(ctx context.Context, name, src string, p Pipeline) (*Result, error) {
-	bres, err := buildPipeline(ctx, name, src, p)
-	if err != nil {
-		return nil, err
-	}
 	cfg := machine.SPARCstation10()
 	if p.Machine != nil {
 		cfg = *p.Machine
+	}
+	if n := p.Exec.Config.Name; n != "" && n != cfg.Name {
+		return nil, fmt.Errorf("run: Exec.Config is %s but the build targets %s; set Pipeline.Machine instead", n, cfg.Name)
+	}
+	bres, err := buildPipeline(ctx, name, src, p)
+	if err != nil {
+		return nil, err
 	}
 	ex := p.Exec
 	ex.Config = cfg

@@ -92,4 +92,9 @@ func TestRunAPIErrors(t *testing.T) {
 	}); err == nil {
 		t.Fatal("missing main not reported")
 	}
+	if _, err := Run("p90.c", "int main() { return 0; }", Pipeline{
+		Exec: interp.Options{Config: machine.Pentium90()},
+	}); err == nil || !strings.Contains(err.Error(), "Pentium 90") {
+		t.Fatalf("Exec.Config differing from the build machine not reported: %v", err)
+	}
 }

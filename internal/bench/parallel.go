@@ -9,13 +9,13 @@ import (
 )
 
 // parOverride, when positive, pins the harness's fan-out width (tests force
-// determinism checks to a fixed width; benchmarks force 1 to time the
-// sequential path). Zero defers to the process-wide policy in internal/par.
+// determinism checks to a fixed width). Zero defers to the process-wide
+// policy in internal/par.
 var parOverride atomic.Int32
 
-// SetParallelism overrides how many cells MeasureAll computes concurrently.
+// setParallelism overrides how many cells MeasureAll computes concurrently.
 // n <= 0 restores the default (GCSAFETY_PARALLEL, else GOMAXPROCS).
-func SetParallelism(n int) {
+func setParallelism(n int) {
 	if n < 0 {
 		n = 0
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // buildTables renders the tables under test into one string. -short keeps
-// the -race gate fast with a single machine's slowdown table; the full run
-// covers every table the `make tables` output contains.
+// the -race gate fast with a single machine's slowdown table and the hazard
+// table; the full run adds every other table cmd/benchtables prints and
+// one ablation.
 func buildTables(t *testing.T) string {
 	t.Helper()
 	var out string
@@ -30,6 +31,7 @@ func buildTables(t *testing.T) string {
 		add(SlowdownTable(machine.Pentium90()))
 		add(CodeSizeTable(machine.SPARCstation10()))
 		add(PostprocessorTable(machine.SPARCstation10()))
+		add(ElisionTable(machine.SPARCstation10()))
 		add(AblationCallVsAsm(machine.SPARCstation10()))
 	}
 	return out
@@ -40,15 +42,15 @@ func buildTables(t *testing.T) string {
 // to a sequential build, at any width. Run under -race (make race) this
 // also shakes out data races in the fan-out itself.
 func TestTablesParallelDeterministic(t *testing.T) {
-	defer SetParallelism(0)
+	defer setParallelism(0)
 	defer ResetCache()
 
-	SetParallelism(1)
+	setParallelism(1)
 	ResetCache()
 	seq := buildTables(t)
 
 	for _, width := range []int{2, 8} {
-		SetParallelism(width)
+		setParallelism(width)
 		ResetCache()
 		if par := buildTables(t); par != seq {
 			t.Fatalf("width-%d tables differ from sequential build:\n--- sequential ---\n%s\n--- parallel ---\n%s",
@@ -61,9 +63,9 @@ func TestTablesParallelDeterministic(t *testing.T) {
 // reqs[i], and the results are the same *Measurement the sequential
 // Measure path returns (shared cache entries, not copies).
 func TestMeasureAllPositional(t *testing.T) {
-	defer SetParallelism(0)
+	defer setParallelism(0)
 	defer ResetCache()
-	SetParallelism(4)
+	setParallelism(4)
 	ResetCache()
 
 	cfg := machine.SPARCstation10()

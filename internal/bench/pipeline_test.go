@@ -15,9 +15,9 @@ import (
 // and Typecheck exactly once per workload. Everything else is a stage
 // cache hit (or singleflight wait) by construction.
 func TestMeasureAllSharesFrontEnd(t *testing.T) {
-	defer SetParallelism(0)
+	defer setParallelism(0)
 	defer ResetCache()
-	SetParallelism(8)
+	setParallelism(8)
 	ResetCache()
 
 	var reqs []CellRequest

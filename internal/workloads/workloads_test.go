@@ -32,7 +32,8 @@ func init() {
 	modes[0].optimize = true
 }
 
-func runWorkload(t *testing.T, w Workload, bm buildMode) (*interp.Result, error) {
+// buildWorkload compiles w under bm for the SPARCstation 10.
+func buildWorkload(t *testing.T, w Workload, bm buildMode) *machine.Program {
 	t.Helper()
 	file, err := parser.Parse(w.Name+".c", w.Source)
 	if err != nil {
@@ -51,8 +52,13 @@ func runWorkload(t *testing.T, w Workload, bm buildMode) (*interp.Result, error)
 	if bm.postprocess {
 		peephole.Optimize(prog, cfg)
 	}
-	return interp.Run(prog, interp.Options{
-		Config:   cfg,
+	return prog
+}
+
+func runWorkload(t *testing.T, w Workload, bm buildMode) (*interp.Result, error) {
+	t.Helper()
+	return interp.Run(buildWorkload(t, w, bm), interp.Options{
+		Config:   machine.SPARCstation10(),
 		Input:    w.Input,
 		Validate: true,
 	})
@@ -179,21 +185,11 @@ func TestWorkloadsSafeUnderAsyncGC(t *testing.T) {
 		t.Skip("async sweep is slow")
 	}
 	cfg := machine.SPARCstation10()
+	optSafe := buildMode{annotate: true, optimize: true}
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			file, err := parser.Parse(w.Name+".c", w.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := gcsafe.Annotate(file, gcsafe.Options{}); err != nil {
-				t.Fatal(err)
-			}
-			prog, err := codegen.Compile(file, codegen.Options{Optimize: true, Machine: cfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := interp.Run(prog, interp.Options{
+			res, err := interp.Run(buildWorkload(t, w, optSafe), interp.Options{
 				Config:        cfg,
 				Input:         w.Input,
 				Validate:      true,
@@ -210,4 +206,30 @@ func TestWorkloadsSafeUnderAsyncGC(t *testing.T) {
 			}
 		})
 	}
+	// DESIGN's GC trigger policy ablation: the same annotated cordtest
+	// build under allocation-site-only collection and under an
+	// asynchronous collector. Both regimes reproduce the golden output;
+	// the asynchronous one collects more often.
+	t.Run("TriggerPolicy", func(t *testing.T) {
+		w, _ := ByName("cordtest")
+		prog := buildWorkload(t, w, optSafe)
+		run := func(every uint64) *interp.Result {
+			res, err := interp.Run(prog, interp.Options{
+				Config: cfg, Input: w.Input, Validate: true,
+				TriggerBytes: 16 << 10, GCEveryInstrs: every,
+			})
+			if err != nil {
+				t.Fatalf("GCEveryInstrs=%d: %v", every, err)
+			}
+			if res.Output != w.Want {
+				t.Fatalf("GCEveryInstrs=%d: output changed", every)
+			}
+			return res
+		}
+		allocSite, async := run(0).GCStats.Collections, run(9973).GCStats.Collections
+		t.Logf("collections: allocation-site %d, async %d", allocSite, async)
+		if async <= allocSite {
+			t.Fatalf("async regime collected %d times, allocation-site-only %d; want more", async, allocSite)
+		}
+	})
 }

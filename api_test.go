@@ -1,11 +1,14 @@
 package gcsafety
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"gcsafety/internal/faultinject"
 	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
+	"gcsafety/internal/pipeline"
 )
 
 const apiProgram = `
@@ -96,5 +99,34 @@ func TestRunAPIErrors(t *testing.T) {
 		Exec: interp.Options{Config: machine.Pentium90()},
 	}); err == nil || !strings.Contains(err.Error(), "Pentium 90") {
 		t.Fatalf("Exec.Config differing from the build machine not reported: %v", err)
+	}
+}
+
+// TestBuildErrorPhases pins the phase prefix of a build failure in every
+// stage: the front end's stages fail under "parse:", the liveness analysis
+// and the annotator it feeds under "annotate:", code generation and the
+// optimizers under "compile:". The build is annotated, elided, optimized
+// and postprocessed, so every stage runs; the source is unique to this
+// test so each faulted stage is a cache miss and its fault point fires.
+func TestBuildErrorPhases(t *testing.T) {
+	const src = `int main() { int *p = (int *)GC_malloc(8); p[0] = 1; return p[0] - 1; } /* phases */`
+	p := Pipeline{Annotate: true, AnnotateOptions: SafeElided(), Optimize: true, Postprocess: true}
+	phase := map[pipeline.Stage]string{
+		pipeline.StageLex: "parse:", pipeline.StageParse: "parse:", pipeline.StageTypecheck: "parse:",
+		pipeline.StageLiveness: "annotate:", pipeline.StageAnnotate: "annotate:",
+		pipeline.StageCodegen: "compile:", pipeline.StageOptimize: "compile:", pipeline.StagePeephole: "compile:",
+	}
+	for _, st := range pipeline.Stages() {
+		faults, err := faultinject.Parse(st.FaultPoint()+"=error,msg=phase-probe", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = BuildContext(faultinject.WithContext(context.Background(), faults), "phases.c", src, p)
+		if err == nil {
+			t.Fatalf("%s: build survived an injected fault", st)
+		}
+		if !strings.HasPrefix(err.Error(), phase[st]) || !strings.Contains(err.Error(), "phase-probe") {
+			t.Errorf("%s: error %q, want the injected fault under %q", st, err, phase[st])
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Command benchtables regenerates every table in the paper's evaluation —
 // the three running-time slowdown tables (SPARCstation 2, SPARCstation 10,
 // Pentium 90), the object-code size expansion table, and the postprocessor
-// table — plus the elision table and the ablation tables DESIGN.md calls
-// out.
+// table — plus the elision table, the temporal/concurrent hazard table and
+// the ablation tables DESIGN.md calls out.
 //
 // Usage:
 //
@@ -18,6 +18,8 @@ import (
 	"gcsafety/internal/machine"
 )
 
+type tableFunc func(machine.Config) (*bench.Table, error)
+
 func main() {
 	ablations := flag.Bool("ablations", false, "also print the ablation tables")
 	flag.Parse()
@@ -27,50 +29,24 @@ func main() {
 	fmt.Println()
 
 	for _, cfg := range machine.Configs() {
-		t, err := bench.SlowdownTable(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t)
+		show(bench.SlowdownTable, cfg)
 	}
-
-	t, err := bench.CodeSizeTable(machine.SPARCstation10())
-	if err != nil {
-		fatal(err)
+	tables := []tableFunc{bench.CodeSizeTable, bench.PostprocessorTable, bench.ElisionTable, bench.HazardTable}
+	if *ablations {
+		tables = append(tables, bench.AblationCallVsAsm, bench.AblationCopySuppression,
+			bench.AblationIncDecExpansion, bench.AblationBaseHeuristic, bench.AblationCallSiteOnly)
 	}
-	fmt.Println(t)
-
-	t, err = bench.PostprocessorTable(machine.SPARCstation10())
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(t)
-
-	t, err = bench.ElisionTable(machine.SPARCstation10())
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(t)
-
-	if !*ablations {
-		return
-	}
-	for _, f := range []func(machine.Config) (*bench.Table, error){
-		bench.AblationCallVsAsm,
-		bench.AblationCopySuppression,
-		bench.AblationIncDecExpansion,
-		bench.AblationBaseHeuristic,
-		bench.AblationCallSiteOnly,
-	} {
-		t, err := f(machine.SPARCstation10())
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t)
+	for _, f := range tables {
+		show(f, machine.SPARCstation10())
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-	os.Exit(1)
+// show builds one table on cfg and prints it, exiting on failure.
+func show(f tableFunc, cfg machine.Config) {
+	t, err := f(cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Println(t)
 }

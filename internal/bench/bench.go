@@ -9,8 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 	"sync/atomic"
 
 	"gcsafety/internal/artifact"
@@ -202,14 +200,7 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 	if err != nil {
 		var se *pipeline.StageError
 		if errors.As(err, &se) {
-			switch se.Stage {
-			case pipeline.StageLex, pipeline.StageParse, pipeline.StageTypecheck:
-				return nil, fmt.Errorf("%s: parse: %w", w.Name, se.Err)
-			case pipeline.StageAnnotate:
-				return nil, fmt.Errorf("%s: annotate: %w", w.Name, se.Err)
-			default:
-				return nil, fmt.Errorf("%s: compile: %w", w.Name, se.Err)
-			}
+			return nil, fmt.Errorf("%s: %s: %w", w.Name, se.Stage.Phase(), se.Err)
 		}
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
@@ -217,7 +208,8 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 	m := &Measurement{Size: prog.Size()}
 	res, err := interp.Run(prog, eopts)
 	if err != nil {
-		if _, ok := findCheckError(err); ok {
+		var ce *interp.CheckError
+		if errors.As(err, &ce) {
 			m.CheckFailed = true
 			return m, nil
 		}
@@ -279,341 +271,4 @@ func retainedAtExit(s *heapdump.Snapshot) uint64 {
 		}
 	}
 	return sum
-}
-
-func findCheckError(err error) (*interp.CheckError, bool) {
-	for err != nil {
-		if ce, ok := err.(*interp.CheckError); ok {
-			return ce, true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return nil, false
-		}
-		err = u.Unwrap()
-	}
-	return nil, false
-}
-
-// Cell is one formatted table entry.
-type Cell struct {
-	Pct       float64 // slowdown or expansion percentage
-	Fails     bool    // "<fails>" (gawk checked)
-	Unavail   bool    // "-" (cfrac -g)
-	FailsNote string
-	// IsBytes marks an absolute byte-count cell (the retained@exit
-	// column): it renders Bytes as "1,234B" instead of a percentage.
-	IsBytes bool
-	Bytes   uint64
-}
-
-func (c Cell) String() string {
-	switch {
-	case c.IsBytes:
-		return heapdump.Comma(c.Bytes) + "B"
-	case c.Fails:
-		return "<fails>"
-	case c.Unavail:
-		return "-"
-	default:
-		return fmt.Sprintf("%.0f%%", c.Pct)
-	}
-}
-
-// retainedCell holds a workload's exit heap shape (MeasureRetained) for
-// the tables' retained column.
-func retainedCell(retained uint64) Cell {
-	return Cell{IsBytes: true, Bytes: retained}
-}
-
-// Row is one workload's row in a table.
-type Row struct {
-	Workload string
-	Cells    []Cell
-}
-
-// Table is one reproduced paper table.
-type Table struct {
-	Title   string
-	Columns []string
-	Rows    []Row
-}
-
-// String renders the table in the paper's layout.
-func (t *Table) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", t.Title)
-	fmt.Fprintf(&sb, "%-10s", "")
-	for _, c := range t.Columns {
-		fmt.Fprintf(&sb, "%-16s", c)
-	}
-	sb.WriteString("\n")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&sb, "%-10s", r.Workload)
-		for _, c := range r.Cells {
-			fmt.Fprintf(&sb, "%-16s", c.String())
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-// slowdownTreatments is the cell set of the slowdown and code-size tables:
-// every workload needs the optimized baseline and the safe build, and all
-// but the debug-unavailable ones (cfrac) need the two debug builds too.
-func slowdownTreatments(w workloads.Workload) []Treatment {
-	if w.DebugUnavailable {
-		return []Treatment{Opt, OptSafe}
-	}
-	return []Treatment{Opt, OptSafe, Debug, DebugChecked}
-}
-
-func pct(mode, base uint64) float64 {
-	if base == 0 {
-		return math.NaN()
-	}
-	return (float64(mode)/float64(base) - 1) * 100
-}
-
-// SlowdownTable reproduces the paper's per-machine running-time tables
-// (SPARCstation 2, SPARC 10, Pentium 90): "slowdown percentages relative to
-// the unpreprocessed optimized version" for GC-safe code, fully debuggable
-// code, and debuggable code with pointer-arithmetic checks.
-func SlowdownTable(cfg machine.Config) (*Table, error) {
-	t := &Table{
-		Title:   cfg.Name + ":",
-		Columns: []string{"-O, safe", "-g", "-g, checked", "retained@exit"},
-	}
-	if err := prefetch(cfg, slowdownTreatments); err != nil {
-		return nil, err
-	}
-	// One catalogue generation for both passes: workloads.All builds its
-	// sources and inputs fresh on every call.
-	ws := workloads.All()
-	retained, err := measureRetainedAll(ws)
-	if err != nil {
-		return nil, err
-	}
-	for wi, w := range ws {
-		base, err := Measure(w, Opt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row := Row{Workload: w.Name}
-		safe, err := Measure(w, OptSafe, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, Cell{Pct: pct(safe.Cycles, base.Cycles)})
-		if w.DebugUnavailable {
-			row.Cells = append(row.Cells, Cell{Unavail: true}, Cell{Unavail: true}, retainedCell(retained[wi]))
-			t.Rows = append(t.Rows, row)
-			continue
-		}
-		dbg, err := Measure(w, Debug, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, Cell{Pct: pct(dbg.Cycles, base.Cycles)})
-		chk, err := Measure(w, DebugChecked, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if chk.CheckFailed {
-			row.Cells = append(row.Cells, Cell{Fails: true})
-		} else {
-			row.Cells = append(row.Cells, Cell{Pct: pct(chk.Cycles, base.Cycles)})
-		}
-		row.Cells = append(row.Cells, retainedCell(retained[wi]))
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// CodeSizeTable reproduces the object-code expansion table: static
-// instruction counts of the processed code only, "not the standard
-// libraries", relative to the optimized build.
-func CodeSizeTable(cfg machine.Config) (*Table, error) {
-	t := &Table{
-		Title:   "Object code size expansion (" + cfg.Name + "):",
-		Columns: []string{"-O, safe", "-g", "-g, checked"},
-	}
-	if err := prefetch(cfg, slowdownTreatments); err != nil {
-		return nil, err
-	}
-	for _, w := range workloads.All() {
-		base, err := Measure(w, Opt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row := Row{Workload: w.Name}
-		safe, err := Measure(w, OptSafe, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, Cell{Pct: pct(uint64(safe.Size), uint64(base.Size))})
-		if w.DebugUnavailable {
-			row.Cells = append(row.Cells, Cell{Unavail: true}, Cell{Unavail: true})
-			t.Rows = append(t.Rows, row)
-			continue
-		}
-		dbg, err := Measure(w, Debug, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, Cell{Pct: pct(uint64(dbg.Size), uint64(base.Size))})
-		chk, err := Measure(w, DebugChecked, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, Cell{Pct: pct(uint64(chk.Size), uint64(base.Size))})
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// PostprocessorTable reproduces the final table: residual running-time and
-// code-size degradation of safe code after the peephole postprocessor,
-// relative to the fully optimized normally compiled code.
-func PostprocessorTable(cfg machine.Config) (*Table, error) {
-	t := &Table{
-		Title:   "After the postprocessor (" + cfg.Name + "):",
-		Columns: []string{"running time", "code size"},
-	}
-	if err := prefetch(cfg, func(workloads.Workload) []Treatment {
-		return []Treatment{Opt, OptSafePost}
-	}); err != nil {
-		return nil, err
-	}
-	for _, w := range workloads.All() {
-		base, err := Measure(w, Opt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		post, err := Measure(w, OptSafePost, cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Workload: w.Name,
-			Cells: []Cell{
-				{Pct: pct(post.Cycles, base.Cycles)},
-				{Pct: pct(uint64(post.Size), uint64(base.Size))},
-			},
-		})
-	}
-	return t, nil
-}
-
-// elisionTreatments is the cell set of the elision table: the optimized
-// baseline, each classic treatment, and its elided twin.
-func elisionTreatments(w workloads.Workload) []Treatment {
-	if w.DebugUnavailable {
-		return []Treatment{Opt, OptSafe, OptSafeElided}
-	}
-	return []Treatment{Opt, OptSafe, OptSafeElided, DebugChecked, DebugCheckedElided}
-}
-
-// ElisionTable measures the liveness-elision treatment columns against
-// their classic twins: slowdowns relative to the unpreprocessed optimized
-// build, with and without the Liveness stage's elision. A "<fails>" cell in
-// a checked column is gawk's intentional out-of-object arithmetic being
-// caught — it must appear in *both* checked columns, since elision only
-// drops checks that provably cannot fire.
-func ElisionTable(cfg machine.Config) (*Table, error) {
-	t := &Table{
-		Title:   "Liveness-based elision (" + cfg.Name + "):",
-		Columns: []string{"-O, safe", "-O, safe-elided", "-g, checked", "-g, checked-elided"},
-	}
-	if err := prefetch(cfg, elisionTreatments); err != nil {
-		return nil, err
-	}
-	for _, w := range workloads.All() {
-		base, err := Measure(w, Opt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row := Row{Workload: w.Name}
-		for _, tr := range []Treatment{OptSafe, OptSafeElided} {
-			m, err := Measure(w, tr, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row.Cells = append(row.Cells, Cell{Pct: pct(m.Cycles, base.Cycles)})
-		}
-		if w.DebugUnavailable {
-			row.Cells = append(row.Cells, Cell{Unavail: true}, Cell{Unavail: true})
-			t.Rows = append(t.Rows, row)
-			continue
-		}
-		for _, tr := range []Treatment{DebugChecked, DebugCheckedElided} {
-			m, err := Measure(w, tr, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if m.CheckFailed {
-				row.Cells = append(row.Cells, Cell{Fails: true})
-				continue
-			}
-			row.Cells = append(row.Cells, Cell{Pct: pct(m.Cycles, base.Cycles)})
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// hazardTreatments is the cell set of the hazard table: the optimized
-// baseline, the safe production build, the temporal checker build, and the
-// safe build on the concurrent-mutator simulation.
-var hazardTreatments = []Treatment{Opt, OptSafe, OptTemporal, OptSafeConcurrent}
-
-// HazardTable measures the temporal/concurrency hazard catalogue
-// (internal/workloads.Hazards()) under the extension's treatment columns.
-// A "<fails>" cell is the desired outcome: the temporal checker caught the
-// workload's seeded use-after-free or double-free as a deterministic
-// violation. The remaining cells are slowdowns relative to the optimized
-// baseline, as in the paper's tables (the mt4 column's cost includes the
-// worker threads the single-thread baseline never runs).
-func HazardTable(cfg machine.Config) (*Table, error) {
-	t := &Table{
-		Title:   "Temporal/concurrent hazard workloads (" + cfg.Name + "):",
-		Columns: []string{"-O, safe", "-O, temporal", "-O, safe, mt4", "retained@exit"},
-	}
-	// One catalogue generation for all three passes: workloads.Hazards
-	// builds its sources and inputs fresh on every call.
-	hs := workloads.Hazards()
-	var reqs []CellRequest
-	for _, w := range hs {
-		for _, tr := range hazardTreatments {
-			reqs = append(reqs, CellRequest{Workload: w, Treatment: tr, Machine: cfg})
-		}
-	}
-	if _, err := MeasureAll(reqs); err != nil {
-		return nil, err
-	}
-	retained, err := measureRetainedAll(hs)
-	if err != nil {
-		return nil, err
-	}
-	for wi, w := range hs {
-		base, err := Measure(w, Opt, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row := Row{Workload: w.Name}
-		for _, tr := range hazardTreatments[1:] {
-			m, err := Measure(w, tr, cfg)
-			if err != nil {
-				return nil, err
-			}
-			if m.CheckFailed {
-				row.Cells = append(row.Cells, Cell{Fails: true})
-				continue
-			}
-			row.Cells = append(row.Cells, Cell{Pct: pct(m.Cycles, base.Cycles)})
-		}
-		row.Cells = append(row.Cells, retainedCell(retained[wi]))
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
 }

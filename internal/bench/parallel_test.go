@@ -38,8 +38,8 @@ func buildTables(t *testing.T) string {
 }
 
 // TestTablesParallelDeterministic is the acceptance bar for the parallel
-// cell fan-out: tables built with parallel prefetch must be byte-identical
-// to a sequential build, at any width. Run under -race (make race) this
+// cell fan-out: tables built from a parallel cell batch must be
+// byte-identical to a sequential build, at any width. Run under -race (make race) this
 // also shakes out data races in the fan-out itself.
 func TestTablesParallelDeterministic(t *testing.T) {
 	defer setParallelism(0)

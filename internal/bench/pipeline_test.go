@@ -23,8 +23,10 @@ func TestMeasureAllSharesFrontEnd(t *testing.T) {
 	var reqs []CellRequest
 	for _, cfg := range machine.Configs() {
 		for _, w := range workloads.All() {
-			for _, tr := range append(slowdownTreatments(w), OptSafePost) {
-				reqs = append(reqs, CellRequest{Workload: w, Treatment: tr, Machine: cfg})
+			for _, tr := range []Treatment{Opt, OptSafe, Debug, DebugChecked, OptSafePost} {
+				if !unavailable(w, tr) {
+					reqs = append(reqs, CellRequest{Workload: w, Treatment: tr, Machine: cfg})
+				}
 			}
 		}
 	}

@@ -374,14 +374,7 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 		}
 		var se *pipeline.StageError
 		if errors.As(err, &se) {
-			switch se.Stage {
-			case pipeline.StageAnnotate:
-				return r, fmt.Errorf("annotate: %w", se.Err)
-			case pipeline.StageCodegen, pipeline.StageOptimize, pipeline.StagePeephole:
-				return r, fmt.Errorf("compile: %w", se.Err)
-			default:
-				return r, fmt.Errorf("parse: %w", se.Err)
-			}
+			return r, fmt.Errorf("%s: %w", se.Stage.Phase(), se.Err)
 		}
 		return r, err
 	}

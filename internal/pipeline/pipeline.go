@@ -59,6 +59,21 @@ func Stages() []Stage {
 // (see internal/faultinject).
 func (s Stage) FaultPoint() string { return "pipeline." + string(s) }
 
+// Phase names the part of the toolchain a failure of this stage belongs
+// to, the prefix every surface puts on a build error: "parse" for the
+// front end, "annotate" for the annotator and the liveness analysis that
+// feeds it, "compile" for code generation and the optimizers behind it.
+func (s Stage) Phase() string {
+	switch s {
+	case StageLex, StageParse, StageTypecheck:
+		return "parse"
+	case StageLiveness, StageAnnotate:
+		return "annotate"
+	default:
+		return "compile"
+	}
+}
+
 // index returns the stage's position in Stages(), for counter arrays.
 func (s Stage) index() int {
 	for i, st := range Stages() {

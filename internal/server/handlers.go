@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"time"
 
@@ -21,13 +23,21 @@ import (
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		if isMaxBytesError(err) {
-			return err
+	err := dec.Decode(v)
+	if err == nil {
+		// The body is one JSON value: reading the rest to its end rejects
+		// anything after the value but whitespace, and still maps an
+		// oversized tail to 413.
+		var rest []byte
+		rest, err = io.ReadAll(io.MultiReader(dec.Buffered(), r.Body))
+		if err == nil && len(bytes.Trim(rest, " \t\r\n")) > 0 {
+			err = errors.New("trailing data after the JSON value")
 		}
-		return errf(http.StatusBadRequest, "bad request body: %v", err)
 	}
-	return nil
+	if err == nil || isMaxBytesError(err) {
+		return err
+	}
+	return errf(http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // AnnotateRequest asks for the C-to-C preprocessor.
@@ -131,14 +141,7 @@ func stageBuildError(err error) error {
 	if errors.Is(se.Err, faultinject.ErrInjected) {
 		return errf(http.StatusInternalServerError, "%v", se.Err)
 	}
-	switch se.Stage {
-	case pipeline.StageLex, pipeline.StageParse, pipeline.StageTypecheck:
-		return errf(http.StatusUnprocessableEntity, "parse: %v", se.Err)
-	case pipeline.StageAnnotate:
-		return errf(http.StatusUnprocessableEntity, "annotate: %v", se.Err)
-	default:
-		return errf(http.StatusUnprocessableEntity, "compile: %v", se.Err)
-	}
+	return errf(http.StatusUnprocessableEntity, "%s: %v", se.Stage.Phase(), se.Err)
 }
 
 // annotate runs the preprocessor through the artifact cache; req has

@@ -307,6 +307,37 @@ func TestMalformedJSON(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected pins that a request body is exactly one JSON
+// value: trailing garbage or a second object is a 400, not silently
+// ignored; the newline a JSON encoder appends is accepted; and a tail that
+// pushes the body over the size limit is still a 413.
+func TestTrailingDataRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 1024})
+	const req = `{"source":"int main(){return 0;}"}`
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"encoder newline", req + "\n", http.StatusOK},
+		{"garbage", req + " garbage", http.StatusBadRequest},
+		{"second object", req + req, http.StatusBadRequest},
+		{"oversized tail", req + strings.Repeat("x", 2048), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status = %d, want %d: %s", c.name, resp.StatusCode, c.want, data)
+		}
+		if c.want == http.StatusBadRequest && !strings.Contains(string(data), "bad request body") {
+			t.Errorf("%s: error %s does not name the bad body", c.name, data)
+		}
+	}
+}
+
 // TestRemovedEngineFieldRejected pins that the request decoder rejects
 // unknown fields: a client still naming the execution engine that used to
 // be selectable gets a 400 naming the field, not a silent default run.
